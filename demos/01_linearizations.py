@@ -15,8 +15,8 @@ from detrep import (
     assemble_pencil_from_representation_tree,
     build_tree,
     generic_tree,
-    special_case_cubic,
 )
+from detrep.representation_tree import _build
 
 p = BivariatePolynomial.from_terms({
     (0, 0): 1, (1, 0): 2, (0, 1): 3,
@@ -67,7 +67,7 @@ verify(pencil, "tree")
 # 2. The representation-tree pencil: one univariate rootfind shrinks the
 #    matrix to 4 x 4.  Complex entries appear even for real input.
 
-rep = build_tree(p)
+rep = _build(p, allow_special=False)
 pencil = assemble_pencil_from_representation_tree(rep)
 show(pencil, "representation-tree pencil")
 verify(pencil, "recursive")
@@ -77,7 +77,9 @@ verify(pencil, "recursive")
 #    pure-y corner of the coefficient table first, and three nodes are
 #    enough -- the smallest possible representation for a cubic.
 
-pencil, substitution = special_case_cubic(p)
+rep = build_tree(p)
+pencil = assemble_pencil_from_representation_tree(rep)
+substitution = rep.composed_substitution()
 print("\nchange of variables: x = x' + s y' + t with")
 print("   s =", np.round(substitution.linear[0, 1], 6))
 print("   t =", np.round(substitution.shift[0], 6))

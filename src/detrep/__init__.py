@@ -33,9 +33,6 @@ from .polynomials import (
     DegenerateInputError,
     LeadingCoefficientError,
     MatrixBivariatePolynomial,
-    apply_substitution,
-    evaluate,
-    evaluate_matrix,
     partial_derivatives,
     univariate_roots,
 )
@@ -43,12 +40,9 @@ from .representation_tree import (
     LinearForm,
     RepresentationTree,
     assemble_pencil_from_representation_tree,
-    build_linearization_tree,
     build_tree,
     linearize,
     representation_tree_size,
-    special_case_cubic,
-    special_case_quartic,
 )
 from .solver import (
     DegenerateSystemError,
@@ -66,7 +60,6 @@ from .twopar import (
     TwoParameterProblem,
     extract_regular_part,
     operator_determinants,
-    solve,
     solve_regular,
 )
 
@@ -92,13 +85,9 @@ __all__ = [
     "StaircaseError",
     "TwoParameterProblem",
     "accuracy_measure",
-    "apply_substitution",
     "assemble_pencil_from_monomial_tree",
     "assemble_pencil_from_representation_tree",
-    "build_linearization_tree",
     "build_tree",
-    "evaluate",
-    "evaluate_matrix",
     "extract_regular_part",
     "first_row_assignment",
     "full_monomial_tree",
@@ -109,11 +98,8 @@ __all__ = [
     "operator_determinants",
     "partial_derivatives",
     "representation_tree_size",
-    "solve",
     "solve_regular",
     "solve_system",
     "sparse_tree_heuristic",
-    "special_case_cubic",
-    "special_case_quartic",
     "univariate_roots",
 ]

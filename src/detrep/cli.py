@@ -8,12 +8,12 @@ completed with warnings, 1 failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -60,7 +60,7 @@ def cmd_linearize(args) -> int:
                 "error: method 'alg2' supports scalar polynomials only", file=sys.stderr
             )
             return EXIT_FAILURE
-        tree = representation_tree.build_linearization_tree(poly)
+        tree = representation_tree.build_tree(poly)
         pencil = representation_tree.assemble_pencil_from_representation_tree(tree)
         meta = {"method": "alg2", "tree": serialize.representation_tree_to_json(tree)}
 
@@ -70,22 +70,24 @@ def cmd_linearize(args) -> int:
     return EXIT_OK
 
 
-def _solve_options(args) -> solver.SolveOptions:
-    opts = solver.SolveOptions()
-    if args.method == "tree":
-        opts.linearization = "lin1"
-    elif args.method == "alg2":
-        opts.linearization = "lin2"
-    if args.rank_tol is not None:
-        opts.rank_tol = args.rank_tol
-    if args.cluster_tol is not None:
-        opts.cluster_tol = args.cluster_tol
-    if args.newton_steps is not None:
-        opts.newton_steps = args.newton_steps
-    if args.residual_accept is not None:
-        opts.residual_accept = args.residual_accept
-    opts.swap_variables = args.swap_xy
-    return opts
+def _solve_options(args, file_opts) -> solver.SolveOptions:
+    """Options from the flags, overridden by the system file's "options";
+    SolveOptions validates the combination once it is complete."""
+    flags = {
+        "linearization": {"tree": "lin1", "alg2": "lin2"}.get(args.method),
+        "rank_tol": args.rank_tol,
+        "cluster_tol": args.cluster_tol,
+        "newton_steps": args.newton_steps,
+        "residual_accept": args.residual_accept,
+    }
+    overrides = {key: val for key, val in flags.items() if val is not None}
+    overrides["swap_variables"] = args.swap_xy
+    file_opts = dict(file_opts)
+    unknown = sorted(set(file_opts) - {f.name for f in dataclasses.fields(solver.SolveOptions)})
+    if unknown:
+        raise ValueError(f"unknown solve option(s): {', '.join(unknown)}")
+    overrides.update(file_opts)
+    return dataclasses.replace(solver.SolveOptions(), **overrides)
 
 
 def cmd_solve(args) -> int:
@@ -94,10 +96,11 @@ def cmd_solve(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot read system file {args.input!r}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    opts = _solve_options(args)
-    for key, val in file_opts.items():
-        if hasattr(opts, key):
-            setattr(opts, key, val)
+    try:
+        opts = _solve_options(args, file_opts)
+    except (TypeError, ValueError) as exc:
+        print(f"error: invalid solve options: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
     diagnostics = solver.SolveDiagnostics()
     try:
@@ -200,22 +203,9 @@ def cmd_bench(args) -> int:
     if not (3 <= lo <= hi <= 12):
         print("error: degree range must satisfy 3 <= a <= b <= 12", file=sys.stderr)
         return EXIT_FAILURE
-    degrees = list(range(lo, hi + 1))
-    if args.jobs > 1 and not args.sizes_only:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(
-                pool.map(
-                    lambda n: _bench_row(n, args.seed, args.sizes_only, args.newton_steps
-                                          if args.newton_steps is not None else 2),
-                    degrees,
-                )
-            )
-    else:
-        rows = [
-            _bench_row(n, args.seed, args.sizes_only,
-                       args.newton_steps if args.newton_steps is not None else 2)
-            for n in degrees
-        ]
+    rows = [
+        _bench_row(n, args.seed, args.sizes_only, args.newton_steps) for n in range(lo, hi + 1)
+    ]
 
     headers = list(rows[0].keys())
     print("  ".join(f"{h:>18}" for h in headers))
@@ -284,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--sizes-only", action="store_true",
                          help="report only the deterministic size columns")
-    p_bench.add_argument("--newton-steps", type=int, default=None)
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument("--newton-steps", type=int, default=2)
     p_bench.add_argument("--output", help="also write rows as JSON here")
     p_bench.set_defaults(func=cmd_bench)
 

@@ -228,37 +228,15 @@ def _covers(node_set, constraints) -> bool:
 
 
 def _prune_generic(P) -> set:
-    """Generic node set cut back to what this polynomial actually uses."""
-    n = P.degree
-    node_set = {(j, k) for j in range(n) for k in range(n - j) if k == 0 or j % 2 == 0}
-    needed = {(0, 0)}
-    for (j, k), opts in _constrained_terms(P):
-        chosen = None
-        for slot in "CBA":
-            for node, s in _term_options(j, k, n):
-                if s == slot and node in node_set:
-                    chosen = node
-                    break
-            if chosen:
-                break
-        if chosen is None:  # cannot happen: the generic set covers everything
-            raise CoverageError(f"term x^{j} y^{k} escapes the generic node set")
-        needed.add(chosen)
-    # close upward to the root along forced parents
-    closed = set()
-    stack = list(needed)
-    while stack:
-        j, k = stack.pop()
-        if (j, k) in closed:
-            continue
-        closed.add((j, k))
-        if (j, k) == (0, 0):
-            continue
-        if j > 0 and (j - 1, k) in node_set:
-            stack.append((j - 1, k))
-        else:
-            stack.append((j, k - 1))
-    return closed
+    """Generic node set cut back to the columns the first row of this
+    polynomial uses, closed upward to the root along the tree's parents."""
+    tree = generic_tree(P.degree)
+    used = {0}
+    for col, _ in first_row_assignment(P, tree).values():
+        while col not in used:
+            used.add(col)
+            col = tree.parents[col]
+    return {tree.nodes[i] for i in used}
 
 
 def _exact_min_node_set(P) -> set:

@@ -27,31 +27,31 @@ class LeadingCoefficientError(ValueError):
     must deflate the degree before asking for roots."""
 
 
-def _trim_table(table: np.ndarray) -> np.ndarray:
+def _trim_table(table: np.ndarray, mags: np.ndarray) -> np.ndarray:
     """Return the square table cut down to the exact degree.
 
-    The exact degree is the largest j + k carrying a coefficient whose
-    magnitude exceeds DEGREE_TRIM_REL times the largest magnitude in the
-    table; smaller entries on discarded bands are treated as structural
-    zeros.  The zero polynomial comes back as a 1x1 zero table.
+    `table` has shape (n+1, n+1, ...) and mags[j, k] is the magnitude of
+    its (j, k) entry.  The exact degree is the largest j + k carrying an
+    entry whose magnitude exceeds DEGREE_TRIM_REL times the largest one;
+    smaller entries on discarded bands are treated as structural zeros,
+    and entries outside the triangle of the trimmed degree are dropped.
+    The zero polynomial comes back with a 1x1 leading shape.
     """
     size = table.shape[0]
-    mags = np.abs(table)
     top = mags.max() if size else 0.0
     if top == 0.0:
-        return np.zeros((1, 1), dtype=complex)
+        return np.zeros((1, 1) + table.shape[2:], dtype=complex)
     threshold = DEGREE_TRIM_REL * top
     degree = 0
     for j in range(size):
         for k in range(size - j):
             if mags[j, k] > threshold:
                 degree = max(degree, j + k)
-    out = np.zeros((degree + 1, degree + 1), dtype=complex)
+    out = np.zeros((degree + 1, degree + 1) + table.shape[2:], dtype=complex)
     for j in range(degree + 1):
         for k in range(degree + 1 - j):
             if mags[j, k] > 0.0:
                 out[j, k] = table[j, k]
-    # entries outside the triangle of the trimmed degree are dropped
     return out
 
 
@@ -74,7 +74,7 @@ class BivariatePolynomial:
             raise ValueError(f"coefficient table must be square, got {arr.shape}")
         if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
             raise ValueError("coefficients must be finite")
-        table = _trim_table(arr)
+        table = _trim_table(arr, np.abs(arr))
         self.coeffs = table
         self.degree = table.shape[0] - 1
 
@@ -286,25 +286,10 @@ class MatrixBivariatePolynomial:
             raise ValueError(f"expected shape (n+1, n+1, k, k), got {arr.shape}")
         if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
             raise ValueError("coefficients must be finite")
-        size, block = arr.shape[0], arr.shape[2]
-        mags = np.abs(arr).max(axis=(2, 3))
-        top = mags.max()
-        if top == 0.0:
-            table = np.zeros((1, 1, block, block), dtype=complex)
-        else:
-            threshold = DEGREE_TRIM_REL * top
-            degree = 0
-            for j in range(size):
-                for k in range(size - j):
-                    if mags[j, k] > threshold:
-                        degree = max(degree, j + k)
-            table = np.zeros((degree + 1, degree + 1, block, block), dtype=complex)
-            for j in range(degree + 1):
-                for k in range(degree + 1 - j):
-                    table[j, k] = arr[j, k]
+        table = _trim_table(arr, np.abs(arr).max(axis=(2, 3)))
         self.coeffs = table
         self.degree = table.shape[0] - 1
-        self.block_size = block
+        self.block_size = arr.shape[2]
 
     @classmethod
     def from_blocks(cls, blocks: dict, block_size: int) -> "MatrixBivariatePolynomial":
@@ -341,16 +326,6 @@ class MatrixBivariatePolynomial:
 # -- module-level operation surface ------------------------------------------
 
 
-def evaluate(p: BivariatePolynomial, x: complex, y: complex) -> complex:
-    """Value of p at (x, y)."""
-    return p(x, y)
-
-
-def evaluate_matrix(P: MatrixBivariatePolynomial, x: complex, y: complex) -> np.ndarray:
-    """Value of a matrix polynomial at (x, y)."""
-    return P(x, y)
-
-
 def univariate_roots(coeffs) -> np.ndarray:
     """All roots of c[0] + c[1] t + ... + c[m] t^m, sorted by ascending
     modulus with ties broken by ascending real part, then imaginary part.
@@ -382,11 +357,6 @@ def univariate_roots(coeffs) -> np.ndarray:
         (roots.imag, np.round(roots.real / quantum), np.round(np.abs(roots) / quantum))
     )
     return roots[order]
-
-
-def apply_substitution(p: BivariatePolynomial, sub: AffineSubstitution) -> BivariatePolynomial:
-    """Coefficients of p after the affine change of variables."""
-    return p.substitute(sub)
 
 
 def partial_derivatives(

@@ -197,6 +197,22 @@ def _pick_rotation(p: BivariatePolynomial) -> complex:
     return best
 
 
+def _rotate_leading_x(p: BivariatePolynomial):
+    """p with a nonzero x^n coefficient, plus the rotate_y step that made it
+    so (an empty tuple when the coefficient is already nonzero)."""
+    if abs(_coeff_at(p, p.degree, 0)) > DEGREE_TRIM_REL * p.coeff_norm():
+        return p, ()
+    gamma = _pick_rotation(p)
+    rot = AffineSubstitution.rotate_y(gamma)
+    return p.substitute(rot), (SubstitutionStep("rotate_y", rot, {"gamma": gamma}),)
+
+
+def _undo_substitutions(tree: RepresentationTree, steps) -> RepresentationTree:
+    """Tree built in substituted variables, expressed in the original ones."""
+    tree = tree.with_steps(tuple(steps))
+    return tree.compose(tree.composed_substitution().inverse())
+
+
 def _simple_roots(roots: np.ndarray) -> list[complex]:
     # a numerical m-fold root splits into a cluster of diameter about
     # eps**(1/m) (6e-6 for a triple root), so the separation threshold must
@@ -333,16 +349,9 @@ def _main_branch_tree(p: BivariatePolynomial, allow_special: bool) -> Representa
 def _cubic_special_tree(p: BivariatePolynomial):
     """Size-3 tree for a cubic after x = x' + s y' + t, or None when the
     steering polynomial has no usable simple root."""
-    steps = []
-    work = p
-    if abs(_coeff_at(work, 3, 0)) <= DEGREE_TRIM_REL * work.coeff_norm():
-        gamma = _pick_rotation(work)
-        rot = AffineSubstitution.rotate_y(gamma)
-        work = work.substitute(rot)
-        steps.append(SubstitutionStep("rotate_y", rot, {"gamma": gamma}))
-
-    h = [_coeff_at(work, 0, 3), _coeff_at(work, 1, 2), _coeff_at(work, 2, 1), _coeff_at(work, 3, 0)]
-    chosen = _choose_shift(work, h, AffineSubstitution.shear_x, (0, 2))
+    work, rotation = _rotate_leading_x(p)
+    steps = list(rotation)
+    chosen = _choose_shift(work, _top_slice(work), AffineSubstitution.shear_x, (0, 2))
     if chosen is None:
         return None
     s, t = chosen
@@ -371,31 +380,15 @@ def _cubic_special_tree(p: BivariatePolynomial):
             LinearForm(0.0, c[3, 0], -c[3, 0] * z3),
         ),
     )
-    total = AffineSubstitution.identity()
-    for step in steps:
-        total = total.compose(step.map)
-    return tree.compose(total.inverse()).with_steps(tuple(steps))
+    return _undo_substitutions(tree, steps)
 
 
 def _quartic_special_tree(p: BivariatePolynomial):
     """Size-5 tree for a quartic after two shears, or None when either
     steering polynomial lacks a usable simple root."""
-    steps = []
-    work = p
-    if abs(_coeff_at(work, 4, 0)) <= DEGREE_TRIM_REL * work.coeff_norm():
-        gamma = _pick_rotation(work)
-        rot = AffineSubstitution.rotate_y(gamma)
-        work = work.substitute(rot)
-        steps.append(SubstitutionStep("rotate_y", rot, {"gamma": gamma}))
-
-    h = [
-        _coeff_at(work, 0, 4),
-        _coeff_at(work, 1, 3),
-        _coeff_at(work, 2, 2),
-        _coeff_at(work, 3, 1),
-        _coeff_at(work, 4, 0),
-    ]
-    chosen = _choose_shift(work, h, AffineSubstitution.shear_x, (0, 3))
+    work, rotation = _rotate_leading_x(p)
+    steps = list(rotation)
+    chosen = _choose_shift(work, _top_slice(work), AffineSubstitution.shear_x, (0, 3))
     if chosen is None:
         return None
     s, t = chosen
@@ -482,10 +475,7 @@ def _quartic_special_tree(p: BivariatePolynomial):
             top_coeff,
         ),
     )
-    total = AffineSubstitution.identity()
-    for step in steps:
-        total = total.compose(step.map)
-    return tree.compose(total.inverse()).with_steps(tuple(steps))
+    return _undo_substitutions(tree, steps)
 
 
 def _build(p: BivariatePolynomial, allow_special: bool) -> RepresentationTree:
@@ -500,12 +490,10 @@ def _build(p: BivariatePolynomial, allow_special: bool) -> RepresentationTree:
         tree = _quartic_special_tree(p)
         if tree is not None:
             return tree
-    if abs(p.coeffs[n, 0]) <= DEGREE_TRIM_REL * p.coeff_norm():
-        gamma = _pick_rotation(p)
-        rot = AffineSubstitution.rotate_y(gamma)
-        inner = _build(p.substitute(rot), allow_special)
-        step = SubstitutionStep("rotate_y", rot, {"gamma": gamma})
-        return inner.compose(rot.inverse()).with_steps((step,) + inner.substitution_steps)
+    work, rotation = _rotate_leading_x(p)
+    if rotation:
+        inner = _build(work, allow_special).compose(rotation[0].map.inverse())
+        return inner.with_steps(rotation + inner.substitution_steps)
     return _main_branch_tree(p, allow_special)
 
 
@@ -513,42 +501,12 @@ def _build(p: BivariatePolynomial, allow_special: bool) -> RepresentationTree:
 
 
 def build_tree(p: BivariatePolynomial) -> RepresentationTree:
-    """Plain recursive representation tree (no special-case size savings)."""
-    return _build(p, allow_special=False)
+    """Smallest available representation tree: the recursive construction,
+    with the size-3 cubic and size-5 quartic trees wherever a (sub)polynomial
+    of that degree admits them."""
+    return _build(p, allow_special=True)
 
 
-def build_linearization_tree(
-    p: BivariatePolynomial, use_special_cases: bool = True
-) -> RepresentationTree:
-    """Representation tree with the degree-3/4 node savings switched on."""
-    return _build(p, allow_special=use_special_cases)
-
-
-def special_case_cubic(p: BivariatePolynomial) -> tuple[Pencil, AffineSubstitution]:
-    """3x3 pencil for a cubic; falls back to the 4-node tree when the
-    steering polynomial has a triple root."""
-    if p.degree != 3:
-        raise ValueError("expected a polynomial of degree exactly 3")
-    tree = _cubic_special_tree(p)
-    if tree is None:
-        tree = _build(p, allow_special=False)
-    return assemble_pencil_from_representation_tree(tree), tree.composed_substitution()
-
-
-def special_case_quartic(p: BivariatePolynomial) -> tuple[Pencil, AffineSubstitution]:
-    """5x5 pencil for a quartic; falls back to the 6-node tree when either
-    steering polynomial lacks a simple root."""
-    if p.degree != 4:
-        raise ValueError("expected a polynomial of degree exactly 4")
-    tree = _quartic_special_tree(p)
-    if tree is None:
-        tree = _build(p, allow_special=False)
-    return assemble_pencil_from_representation_tree(tree), tree.composed_substitution()
-
-
-def linearize(p: BivariatePolynomial, use_special_cases: bool = True) -> Pencil:
-    """Pencil with det(A + xB + yC) = p(x, y), using the smallest available
-    construction for the degree."""
-    return assemble_pencil_from_representation_tree(
-        build_linearization_tree(p, use_special_cases=use_special_cases)
-    )
+def linearize(p: BivariatePolynomial) -> Pencil:
+    """Pencil with det(A + xB + yC) = p(x, y) from `build_tree`."""
+    return assemble_pencil_from_representation_tree(build_tree(p))

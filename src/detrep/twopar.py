@@ -102,7 +102,6 @@ class EigenSolution:
     x: complex
     y: complex
     w: np.ndarray | None = None
-    cluster_size: int = 1
 
 
 @dataclass
@@ -186,6 +185,17 @@ def _numerical_rank(sv: np.ndarray, cutoff: float):
     return rank, kept, dropped, ambiguous
 
 
+def _decide_rank(sv: np.ndarray, cutoff: float, log: StaircaseLog, context: str):
+    """`_numerical_rank`, with an ambiguous decision recorded in the log and
+    logged as the warning "<context> <kept> vs discarded <dropped>"."""
+    rank, kept, dropped, ambiguous = _numerical_rank(sv, cutoff)
+    if ambiguous:
+        msg = f"{context} {kept:.3e} vs discarded {dropped:.3e}"
+        log.warnings.append(msg)
+        logger.warning(msg)
+    return rank, kept, dropped, ambiguous
+
+
 def is_delta0_nonsingular(deltas: DeltaTriple, rank_tol: float | None = None) -> bool:
     m, k = deltas.shape
     if m != k:
@@ -236,7 +246,7 @@ def solve_regular(
             w = vecs[:, idx]
             d0w = deltas.delta0 @ w
             y = np.vdot(d0w, deltas.delta2 @ w) / np.vdot(d0w, d0w)
-            solutions.append(EigenSolution(complex(xs[idx]), complex(y), w, 1))
+            solutions.append(EigenSolution(complex(xs[idx]), complex(y), w))
             continue
         # eigenvectors of nearly coincident eigenvalues can come back almost
         # parallel; the small right singular vectors of delta1 - x delta0
@@ -255,14 +265,13 @@ def solve_regular(
             norm = np.linalg.norm(w)
             if norm > 0:
                 w = w / norm
-            solutions.append(EigenSolution(x_rep, complex(ys[i]), w, size))
+            solutions.append(EigenSolution(x_rep, complex(ys[i]), w))
     return solutions
 
 
 def extract_regular_part(
     deltas: DeltaTriple,
     rank_tol: float | None = None,
-    max_compressions: int | None = None,
 ) -> tuple[DeltaTriple, StaircaseLog]:
     """Common regular part of a singular coupled problem.
 
@@ -280,7 +289,7 @@ def extract_regular_part(
     left = np.eye(m, dtype=complex)
     right = np.eye(k, dtype=complex)
     log = StaircaseLog(left=left, right=right)
-    budget = max_compressions if max_compressions is not None else max(m * k, 1)
+    budget = max(m * k, 1)
 
     # one absolute cutoff for every rank decision: unitary transforms and
     # submatrix selection never grow the entries, so the original spectral
@@ -296,7 +305,9 @@ def extract_regular_part(
         if m == 0 or k == 0:
             break
         u, sv, vh = _svd(d0)
-        rank, kept, dropped, ambiguous = _numerical_rank(sv, cutoff)
+        rank, kept, dropped, ambiguous = _decide_rank(
+            sv, cutoff, log, f"rank decision at {m}x{k} block is ambiguous: kept singular value"
+        )
         if m == k and rank == k:
             break
         if log.compressions >= budget:
@@ -304,13 +315,6 @@ def extract_regular_part(
                 f"no regular part after {log.compressions} compressions "
                 f"(current block {m}x{k}, rank {rank})"
             )
-        if ambiguous:
-            msg = (
-                f"rank decision at {m}x{k} block is ambiguous: kept singular value "
-                f"{kept:.3e} vs discarded {dropped:.3e}"
-            )
-            log.warnings.append(msg)
-            logger.warning(msg)
 
         v = vh.conj().T
         d0 = u.conj().T @ d0 @ v
@@ -324,14 +328,9 @@ def extract_regular_part(
             # annihilate those columns of delta1 and delta2
             trailing = np.hstack([d1[:, rank:], d2[:, rank:]])
             u2, sv2, _ = _svd(trailing)
-            rho, kept2, dropped2, ambiguous2 = _numerical_rank(sv2, cutoff)
-            if ambiguous2:
-                msg = (
-                    f"row compression at {m}x{k} block is ambiguous: kept "
-                    f"{kept2:.3e} vs discarded {dropped2:.3e}"
-                )
-                log.warnings.append(msg)
-                logger.warning(msg)
+            rho = _decide_rank(
+                sv2, cutoff, log, f"row compression at {m}x{k} block is ambiguous: kept"
+            )[0]
             d0 = (u2.conj().T @ d0)[rho:, :rank]
             d1 = (u2.conj().T @ d1)[rho:, :rank]
             d2 = (u2.conj().T @ d2)[rho:, :rank]
@@ -343,14 +342,9 @@ def extract_regular_part(
             # vanish; keep only the columns of delta1, delta2 they annihilate
             bottom = np.vstack([d1[rank:, :], d2[rank:, :]])
             _, sv3, vh3 = _svd(bottom)
-            rho, kept3, dropped3, ambiguous3 = _numerical_rank(sv3, cutoff)
-            if ambiguous3:
-                msg = (
-                    f"column compression at {m}x{k} block is ambiguous: kept "
-                    f"{kept3:.3e} vs discarded {dropped3:.3e}"
-                )
-                log.warnings.append(msg)
-                logger.warning(msg)
+            rho = _decide_rank(
+                sv3, cutoff, log, f"column compression at {m}x{k} block is ambiguous: kept"
+            )[0]
             v3 = vh3.conj().T
             d0 = (d0 @ v3)[:rank, rho:]
             d1 = (d1 @ v3)[:rank, rho:]
@@ -381,20 +375,14 @@ def solve_full(
     """operator determinants -> rank test -> regular solve, with the
     staircase extraction in between when delta0 is singular."""
     deltas = operator_determinants(problem)
-    if is_delta0_nonsingular(deltas, rank_tol):
+    try:
         solutions = solve_regular(deltas, cluster_tol=cluster_tol, rank_tol=rank_tol)
         return TwoParameterResult(solutions, deltas, deltas, None, [])
+    except SingularDeltaError:
+        pass
     reduced, log = extract_regular_part(deltas, rank_tol=rank_tol)
     if reduced.shape[0] == 0:
         return TwoParameterResult([], deltas, reduced, log, list(log.warnings))
     solutions = solve_regular(reduced, cluster_tol=cluster_tol, rank_tol=rank_tol)
     return TwoParameterResult(solutions, deltas, reduced, log, list(log.warnings))
 
-
-def solve(
-    problem: TwoParameterProblem,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float | None = None,
-) -> list[EigenSolution]:
-    """Eigenvalue pairs of the problem (see solve_full for diagnostics)."""
-    return solve_full(problem, cluster_tol=cluster_tol, rank_tol=rank_tol).solutions

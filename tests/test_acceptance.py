@@ -17,7 +17,6 @@ from detrep import (
     TwoParameterProblem,
     assemble_pencil_from_monomial_tree,
     assemble_pencil_from_representation_tree,
-    build_linearization_tree,
     extract_regular_part,
     full_monomial_tree,
     generic_tree,
@@ -27,8 +26,6 @@ from detrep import (
     representation_tree_size,
     solve_regular,
     solve_system,
-    special_case_cubic,
-    special_case_quartic,
 )
 from detrep.solver import linearize_polynomial, newton_refine
 from detrep.twopar import is_delta0_nonsingular
@@ -181,13 +178,13 @@ def test_criterion_3_determinant_identity():
         {(3, 0): 1, (2, 1): -3, (1, 2): 3, (0, 3): -1,
          (0, 0): 0.5, (1, 0): 0.3, (0, 1): -0.2, (2, 0): 1.1, (1, 1): 0.4, (0, 2): 0.9}
     )
-    paths.append((special_case_cubic(triple)[0], triple, 4))
+    paths.append((linearize(triple), triple, 4))
     rot4 = BivariatePolynomial.from_terms({(0, 4): 1, (3, 1): 1, (1, 1): 0.5, (0, 0): 1, (1, 0): 2})
-    paths.append((special_case_quartic(rot4)[0], rot4, 5))
+    paths.append((linearize(rot4), rot4, 5))
     dbl4 = BivariatePolynomial.from_terms(
         {(4, 0): 1, (2, 2): 2, (0, 4): 1, (0, 0): 1, (1, 0): 1, (0, 1): 0.7, (2, 0): 0.3}
     )
-    paths.append((special_case_quartic(dbl4)[0], dbl4, None))
+    paths.append((linearize(dbl4), dbl4, None))
     rot5 = BivariatePolynomial.from_terms({(4, 1): 1, (0, 5): 2, (2, 2): 1, (0, 0): 1, (1, 0): 1})
     paths.append((linearize(rot5), rot5, None))
     for pencil, poly, size in paths:
@@ -273,7 +270,7 @@ def test_criterion_7_special_case_substitutions():
     ok = True
     for trial in range(50):
         p = random_poly(rng, 3, complex_coeffs=(trial % 2 == 1))
-        pencil, _ = special_case_cubic(p)
+        pencil = linearize(p)
         tree = detrep.representation_tree._cubic_special_tree(p)
         ok &= tree is not None
         work = p
@@ -286,7 +283,7 @@ def test_criterion_7_special_case_substitutions():
         ok &= det_identity_holds(pencil, p, rng)
     for trial in range(50):
         p = random_poly(rng, 4, complex_coeffs=(trial % 2 == 1))
-        pencil, _ = special_case_quartic(p)
+        pencil = linearize(p)
         tree = detrep.representation_tree._quartic_special_tree(p)
         ok &= tree is not None
         work = p

@@ -25,6 +25,19 @@ def system_file(tmp_path):
     return str(path)
 
 
+def write_system(tmp_path, options):
+    """The cubic pair of `system_file` with an "options" entry."""
+    q = BivariatePolynomial.from_terms({(3, 0): 1, (0, 3): 1, (0, 0): -1})
+    doc = {
+        "p": serialize.polynomial_to_json(CUBIC),
+        "q": serialize.polynomial_to_json(q),
+        "options": options,
+    }
+    path = tmp_path / "system_with_options.json"
+    serialize.dump(doc, path)
+    return str(path)
+
+
 def run(args):
     return cli.main(args)
 
@@ -135,6 +148,25 @@ class TestSolve:
         assert run(["solve", str(path)]) == 1
         assert "zero-dimensional" in capsys.readouterr().err
 
+    def test_negative_newton_steps_flag_rejected(self, system_file, capsys):
+        assert run(["solve", system_file, "--newton-steps", "-1"]) == 1
+        assert "error: invalid solve options: newton_steps" in capsys.readouterr().err
+
+    def test_unknown_file_option_named(self, tmp_path, capsys):
+        assert run(["solve", write_system(tmp_path, {"swap_varables": True})]) == 1
+        assert "unknown solve option(s): swap_varables" in capsys.readouterr().err
+
+    def test_mistyped_file_option_rejected(self, tmp_path, capsys):
+        assert run(["solve", write_system(tmp_path, {"newton_steps": "2"})]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid solve options:")
+
+    def test_file_options_applied(self, tmp_path):
+        out, deltas = tmp_path / "roots.json", tmp_path / "deltas.json"
+        path = write_system(tmp_path, {"linearization": "lin1"})
+        assert run(["solve", path, "--output", str(out), "--dump-deltas", str(deltas)]) == 0
+        assert len(json.loads(out.read_text())) == 9
+        assert len(json.loads(deltas.read_text())["delta0"]) == 25  # lin1 pencils
+
 
 class TestVerify:
     def test_matching_pair_passes(self, cubic_file, tmp_path, capsys):
@@ -211,11 +243,6 @@ class TestBench:
     def test_rejects_out_of_range_degrees(self, capsys):
         assert run(["bench", "--degrees", "1..4"]) == 1
         assert "3 <= a <= b <= 12" in capsys.readouterr().err
-
-    def test_jobs_flag(self, tmp_path):
-        out = tmp_path / "p.json"
-        assert run(["bench", "--degrees", "3..4", "--jobs", "2", "--output", str(out)]) == 0
-        assert len(json.loads(out.read_text())) == 2
 
 
 class TestLogging:

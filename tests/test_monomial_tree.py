@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detrep import (
     BivariatePolynomial,
@@ -14,6 +16,7 @@ from detrep import (
     sparse_tree_heuristic,
 )
 
+from detrep.monomial_tree import _covers, _constrained_terms, _prune_generic
 from oracles import min_covering_tree_size
 from test_polynomials import CUBIC, random_polynomial
 
@@ -324,6 +327,45 @@ class TestSparseTree:
         tree = sparse_tree_heuristic(p)
         want = min_covering_tree_size([t for t in chosen], p.degree)
         assert len(tree) == want
+
+
+
+@st.composite
+def sparse_polynomials(draw):
+    """Degree 7-10 polynomials with a top-degree term and a few more terms;
+    beyond the exact-search cap the greedy search and the pruned generic
+    tree compete."""
+    n = draw(st.integers(7, 10))
+    top = draw(st.integers(0, n))
+    others = draw(st.lists(
+        st.tuples(st.integers(0, n), st.integers(0, n)).filter(lambda t: sum(t) <= n),
+        min_size=1, max_size=8,
+    ))
+    coeff = st.floats(0.5, 2.0).flatmap(lambda c: st.sampled_from([c, -c]))
+    terms = {term: draw(coeff) for term in [(top, n - top)] + others}
+    return BivariatePolynomial.from_terms(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_polynomials())
+def test_pruned_generic_tree_properties(p):
+    n = p.degree
+    generic = set(generic_tree(n).nodes)
+    pruned = _prune_generic(p)
+    assert pruned <= generic
+    assert _covers(pruned, _constrained_terms(p))
+    assert len(pruned) <= generic_tree_size(n)
+    heuristic = sparse_tree_heuristic(p)
+    assert len(heuristic) <= len(pruned)
+    rng = np.random.default_rng(n)
+    for nodes in (pruned, heuristic.nodes):
+        pencil = assemble_pencil_from_monomial_tree(p, MonomialTree.from_node_set(nodes))
+        for _ in range(5):
+            x = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            y = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            # roundoff scale: the sum of the term magnitudes at (x, y)
+            size = sum(abs(c * x**j * y**k) for j, k, c in p.terms())
+            assert abs(pencil.determinant(x, y) - p(x, y)) <= 1e-9 * size
 
 
 class TestTreeValidation:

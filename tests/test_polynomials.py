@@ -6,9 +6,6 @@ from detrep import (
     BivariatePolynomial,
     LeadingCoefficientError,
     MatrixBivariatePolynomial,
-    apply_substitution,
-    evaluate,
-    evaluate_matrix,
     partial_derivatives,
     univariate_roots,
 )
@@ -34,14 +31,14 @@ def random_polynomial(rng, n, complex_coeffs=False):
 
 class TestEvaluate:
     def test_constant_term(self):
-        assert evaluate(CUBIC, 0.0, 0.0) == 1.0
+        assert CUBIC(0.0, 0.0) == 1.0
 
     def test_pure_x_sum(self):
-        assert evaluate(CUBIC, 1.0, 0.0) == 14.0
+        assert CUBIC(1.0, 0.0) == 14.0
 
     def test_against_extended_precision_summation(self):
         # frozen from the naive high-precision oracle (value is exactly 1.5)
-        assert evaluate(CUBIC, 0.5, -0.5) == pytest.approx(1.5, abs=1e-14)
+        assert CUBIC(0.5, -0.5) == pytest.approx(1.5, abs=1e-14)
         assert naive_eval(CUBIC.coeffs, 0.5, -0.5) == pytest.approx(1.5, abs=1e-14)
 
     def test_random_points_match_oracle(self):
@@ -51,7 +48,7 @@ class TestEvaluate:
             x = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             y = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             want = naive_eval(p.coeffs, x, y)
-            assert evaluate(p, x, y) == pytest.approx(want, rel=1e-13)
+            assert p(x, y) == pytest.approx(want, rel=1e-13)
 
     def test_linearity_in_coefficients(self):
         rng = np.random.default_rng(11)
@@ -60,21 +57,21 @@ class TestEvaluate:
         for _ in range(20):
             x = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             y = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            lhs = evaluate(p + q, x, y)
-            rhs = evaluate(p, x, y) + evaluate(q, x, y)
+            lhs = (p + q)(x, y)
+            rhs = p(x, y) + q(x, y)
             assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 class TestEvaluateMatrix:
     def test_identity_constant(self):
         P = MatrixBivariatePolynomial.from_blocks({(0, 0): np.eye(3)}, 3)
-        assert np.allclose(evaluate_matrix(P, 0.7, -0.3), np.eye(3))
+        assert np.allclose(P(0.7, -0.3), np.eye(3))
 
     def test_degree_one(self):
         p00 = np.array([[1.0, 2.0], [3.0, 4.0]])
         p10 = np.array([[0.0, 1.0], [1.0, 0.0]])
         P = MatrixBivariatePolynomial.from_blocks({(0, 0): p00, (1, 0): p10}, 2)
-        assert np.allclose(evaluate_matrix(P, 2.0, 0.0), p00 + 2 * p10)
+        assert np.allclose(P(2.0, 0.0), p00 + 2 * p10)
 
     def test_entrywise_expansion_oracle(self):
         rng = np.random.default_rng(12)
@@ -85,9 +82,9 @@ class TestEvaluateMatrix:
         P = MatrixBivariatePolynomial.from_blocks(blocks, 3)
         x = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         y = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        direct = evaluate_matrix(P, x, y)
+        direct = P(x, y)
         entrywise = np.array(
-            [[evaluate(P.entry(r, c), x, y) for c in range(3)] for r in range(3)]
+            [[P.entry(r, c)(x, y) for c in range(3)] for r in range(3)]
         )
         assert np.abs(direct - entrywise).max() <= 1e-12 * np.abs(direct).max()
 
@@ -134,7 +131,7 @@ class TestUnivariateRoots:
 
 class TestApplySubstitution:
     def test_identity(self):
-        out = apply_substitution(CUBIC, AffineSubstitution.identity())
+        out = CUBIC.substitute(AffineSubstitution.identity())
         assert np.allclose(out.coeffs, CUBIC.coeffs)
 
     def test_cubic_shift_reference_coefficients(self):
@@ -144,7 +141,7 @@ class TestApplySubstitution:
         assert s == pytest.approx(-1.1269, abs=2e-4)
         t = -(4 * s * s + 5 * s + 6) / (21 * s * s + 16 * s + 9)
         assert t == pytest.approx(-0.30873, abs=2e-5)
-        out = apply_substitution(CUBIC, AffineSubstitution.shear_x(s, t))
+        out = CUBIC.substitute(AffineSubstitution.shear_x(s, t))
         expected = {
             (0, 0): 0.55782, (1, 0): 1.5317, (0, 1): 0.49276,
             (2, 0): -2.4833, (1, 1): 5.6571,
@@ -173,17 +170,17 @@ class TestApplySubstitution:
         sub = AffineSubstitution(
             rng.uniform(-1, 1, (2, 2)), rng.uniform(-1, 1, 2)
         )
-        out = apply_substitution(p, sub)
+        out = p.substitute(sub)
         for _ in range(20):
             u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             x, y = sub.apply_point(u, v)
-            assert evaluate(out, u, v) == pytest.approx(evaluate(p, x, y), rel=1e-11)
+            assert out(u, v) == pytest.approx(p(x, y), rel=1e-11)
 
     def test_degree_preserved(self):
         rng = np.random.default_rng(16)
         p = random_polynomial(rng, 4)
-        out = apply_substitution(p, AffineSubstitution.shear_x(0.7, -0.3))
+        out = p.substitute(AffineSubstitution.shear_x(0.7, -0.3))
         assert out.degree == 4
 
     def test_singular_map_rejected(self):
@@ -209,9 +206,9 @@ class TestPartialDerivatives:
         dx, dy = partial_derivatives(p)
         for _ in range(5):
             x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
-            fx, fy = central_difference(lambda a, b: evaluate(p, a, b), x, y)
-            assert evaluate(dx, x, y) == pytest.approx(fx, rel=1e-5)
-            assert evaluate(dy, x, y) == pytest.approx(fy, rel=1e-5)
+            fx, fy = central_difference(p, x, y)
+            assert dx(x, y) == pytest.approx(fx, rel=1e-5)
+            assert dy(x, y) == pytest.approx(fy, rel=1e-5)
 
 
 class TestTableHygiene:

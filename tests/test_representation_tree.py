@@ -7,14 +7,12 @@ from detrep import (
     LinearForm,
     RepresentationTree,
     assemble_pencil_from_representation_tree,
-    build_linearization_tree,
     build_tree,
     linearize,
     representation_tree_size,
-    special_case_cubic,
-    special_case_quartic,
     univariate_roots,
 )
+from detrep.representation_tree import _build
 
 from test_polynomials import CUBIC, random_polynomial
 
@@ -25,6 +23,17 @@ def check_determinant(pencil, poly, rng, points=20, tol=1e-9):
         y = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         want = poly(x, y)
         assert abs(pencil.determinant(x, y) - want) <= tol * abs(want)
+
+
+def plain_tree(p):
+    """The recursive construction without the cubic/quartic trees."""
+    return _build(p, allow_special=False)
+
+
+def special_pencil(p):
+    """Pencil and composed substitution of the tree `build_tree` picks."""
+    tree = build_tree(p)
+    return assemble_pencil_from_representation_tree(tree), tree.composed_substitution()
 
 
 def identity_defect(tree: RepresentationTree, p: BivariatePolynomial) -> float:
@@ -48,7 +57,7 @@ class TestTreeSize:
 
 class TestBuildTree:
     def test_running_cubic_nodes_and_coefficients(self):
-        tree = build_tree(CUBIC)
+        tree = plain_tree(CUBIC)
         assert len(tree) == 4
         q = tree.node_polynomials()
         # q2 = x + (0.0079857 + 1.1259i) y
@@ -72,7 +81,7 @@ class TestBuildTree:
     def test_power_sum_uses_main_branch_only(self):
         for n in (5, 9, 10):
             p = BivariatePolynomial.from_terms({(n, 0): 1, (0, n): 1, (0, 0): -1})
-            tree = build_tree(p)
+            tree = plain_tree(p)
             assert len(tree) == n
             pencil = assemble_pencil_from_representation_tree(tree)
             rng = np.random.default_rng(n)
@@ -81,20 +90,20 @@ class TestBuildTree:
     def test_degree_two(self):
         rng = np.random.default_rng(50)
         p = random_polynomial(rng, 2)
-        assert len(build_tree(p)) == 2
+        assert len(plain_tree(p)) == 2
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_sizes_and_identity(self, n):
         rng = np.random.default_rng(60 + n)
         p = random_polynomial(rng, n, complex_coeffs=(n % 3 == 0))
-        tree = build_tree(p)
+        tree = plain_tree(p)
         assert len(tree) == representation_tree_size(n)
         assert identity_defect(tree, p) < 1e-10
 
     def test_main_branch_edges_are_root_quotients(self):
         rng = np.random.default_rng(61)
         p = random_polynomial(rng, 6)
-        tree = build_tree(p)
+        tree = plain_tree(p)
         zeros = univariate_roots([p.coeffs[i, 6 - i] for i in range(7)])
         for k in range(1, 6):
             edge = tree.edges[k]
@@ -104,7 +113,7 @@ class TestBuildTree:
     def test_homogeneous_levels_without_substitutions(self):
         rng = np.random.default_rng(62)
         p = random_polynomial(rng, 7)
-        tree = build_tree(p)
+        tree = plain_tree(p)
         assert tree.substitution_steps == ()
         depth = [0] * len(tree)
         for i in range(1, len(tree)):
@@ -115,11 +124,11 @@ class TestBuildTree:
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(DegenerateInputError):
-            build_tree(BivariatePolynomial.zero())
+            plain_tree(BivariatePolynomial.zero())
 
     def test_rotation_path_when_leading_x_term_missing(self):
         p = BivariatePolynomial.from_terms({(4, 1): 1, (0, 5): 2, (2, 2): 1, (0, 0): 1, (1, 0): 1})
-        tree = build_tree(p)
+        tree = plain_tree(p)
         assert any(step.kind == "rotate_y" for step in tree.substitution_steps)
         pencil = assemble_pencil_from_representation_tree(tree)
         rng = np.random.default_rng(63)
@@ -177,13 +186,13 @@ class TestAssemble:
     def test_random_degree_five(self):
         rng = np.random.default_rng(65)
         p = random_polynomial(rng, 5, complex_coeffs=True)
-        pencil = assemble_pencil_from_representation_tree(build_tree(p))
+        pencil = assemble_pencil_from_representation_tree(plain_tree(p))
         check_determinant(pencil, p, rng)
 
 
 class TestCubicSpecialCase:
     def test_running_cubic_reference(self):
-        pencil, sub = special_case_cubic(CUBIC)
+        pencil, sub = special_pencil(CUBIC)
         assert pencil.size == 3
         # substitution x = x' + s y' + t with the real steering root
         assert sub.linear[0, 1] == pytest.approx(-1.1269, abs=2e-4)
@@ -204,7 +213,7 @@ class TestCubicSpecialCase:
 
     def test_symmetric_cubic_picks_real_root(self):
         p = BivariatePolynomial.from_terms({(3, 0): 1, (0, 3): 1, (0, 0): 1})
-        pencil, sub = special_case_cubic(p)
+        pencil, sub = special_pencil(p)
         assert pencil.size == 3
         assert sub.linear[0, 1] == pytest.approx(-1.0, abs=1e-10)
         rng = np.random.default_rng(67)
@@ -215,15 +224,11 @@ class TestCubicSpecialCase:
             {(3, 0): 1, (2, 1): -3, (1, 2): 3, (0, 3): -1,
              (0, 0): 0.5, (1, 0): 0.3, (0, 1): -0.2, (2, 0): 1.1, (1, 1): 0.4, (0, 2): 0.9}
         )
-        pencil, sub = special_case_cubic(p)
+        pencil, sub = special_pencil(p)
         assert pencil.size == 4
         assert sub.is_identity
         rng = np.random.default_rng(68)
         check_determinant(pencil, p, rng)
-
-    def test_wrong_degree_rejected(self):
-        with pytest.raises(ValueError):
-            special_case_cubic(BivariatePolynomial.from_terms({(2, 0): 1.0}))
 
 
 class TestQuarticSpecialCase:
@@ -238,7 +243,7 @@ class TestQuarticSpecialCase:
                     continue
                 terms[(j, k)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         p = BivariatePolynomial.from_terms(terms)
-        pencil, sub = special_case_quartic(p)
+        pencil, sub = special_pencil(p)
         assert pencil.size == 5
         check_determinant(pencil, p, rng)
 
@@ -246,13 +251,13 @@ class TestQuarticSpecialCase:
         rng = np.random.default_rng(70)
         for trial in range(10):
             p = random_polynomial(rng, 4, complex_coeffs=(trial % 2 == 1))
-            pencil, _ = special_case_quartic(p)
+            pencil, _ = special_pencil(p)
             assert pencil.size == 5
             check_determinant(pencil, p, rng)
 
     def test_missing_leading_coefficient_rotates(self):
         p = BivariatePolynomial.from_terms({(0, 4): 1, (3, 1): 1, (1, 1): 0.5, (0, 0): 1, (1, 0): 2})
-        pencil, sub = special_case_quartic(p)
+        pencil, sub = special_pencil(p)
         assert pencil.size == 5
         assert not sub.is_identity
         rng = np.random.default_rng(71)
@@ -263,7 +268,7 @@ class TestQuarticSpecialCase:
         p = BivariatePolynomial.from_terms(
             {(4, 0): 1, (2, 2): 2, (0, 4): 1, (0, 0): 1, (1, 0): 1, (0, 1): 0.7, (2, 0): 0.3}
         )
-        pencil, _ = special_case_quartic(p)
+        pencil, _ = special_pencil(p)
         rng = np.random.default_rng(72)
         check_determinant(pencil, p, rng)
 
@@ -281,7 +286,7 @@ class TestLinearize:
     def test_special_cases_can_be_disabled(self):
         rng = np.random.default_rng(90)
         p = random_polynomial(rng, 6)
-        assert linearize(p, use_special_cases=False).size == 11
+        assert len(plain_tree(p)) == 11
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_determinant_identity(self, n):
@@ -293,7 +298,7 @@ class TestLinearize:
     def test_spliced_subtree_records_substitutions(self):
         rng = np.random.default_rng(92)
         p = random_polynomial(rng, 6)
-        tree = build_linearization_tree(p)
+        tree = build_tree(p)
         kinds = [s.kind for s in tree.substitution_steps]
         assert "shear_x" in kinds  # the inner cubic special case fired
         assert len(tree) == 10

@@ -6,7 +6,7 @@ import pytest
 from detrep import (
     BivariatePolynomial,
     MatrixBivariatePolynomial,
-    build_linearization_tree,
+    build_tree,
     generic_tree,
     linearize,
     solve_system,
@@ -88,7 +88,7 @@ class TestTreeFormats:
     def test_representation_tree_round_trip_with_substitutions(self):
         rng = np.random.default_rng(2)
         p = random_polynomial(rng, 6)
-        tree = build_linearization_tree(p)
+        tree = build_tree(p)
         assert tree.substitution_steps  # inner special case fired
         back = round_trip(
             tree,

@@ -10,7 +10,6 @@ from detrep import (
     generic_tree,
     linearize,
     operator_determinants,
-    solve,
     solve_regular,
 )
 from detrep.twopar import is_delta0_nonsingular, solve_full
@@ -71,7 +70,7 @@ class TestOperatorDeterminants:
 class TestSolveRegular:
     def test_decoupled_linear_system(self):
         prob = TwoParameterProblem([[-1.0]], [[1.0]], [[0.0]], [[-2.0]], [[0.0]], [[1.0]])
-        sols = solve(prob)
+        sols = solve_full(prob).solutions
         assert len(sols) == 1
         assert sols[0].x == pytest.approx(1.0)
         assert sols[0].y == pytest.approx(2.0)
@@ -113,7 +112,7 @@ class TestSolveRegular:
         prob = TwoParameterProblem.from_pencils(
             linearize(BivariatePolynomial(p)), linearize(BivariatePolynomial(q))
         )
-        sols = solve(prob)
+        sols = solve_full(prob).solutions
         got = sorted(
             [(round(s.x.real, 6), round(s.x.imag, 6), round(s.y.real, 6), round(s.y.imag, 6)) for s in sols]
         )
