@@ -90,30 +90,26 @@ class MonomialTree:
         return BivariatePolynomial.from_terms({(j, k): 1.0})
 
 
-def generic_tree_size(n: int) -> int:
-    """Number of nodes of the generic degree-n tree, by direct counting."""
+def _generic_node_set(n: int) -> set:
+    """All x^j y^k with j + k < n and (k = 0 or j even)."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    return sum(
-        1
-        for j in range(n)
-        for k in range(n - j)
-        if k == 0 or j % 2 == 0
-    )
+    return {(j, k) for j in range(n) for k in range(n - j) if k == 0 or j % 2 == 0}
+
+
+def generic_tree_size(n: int) -> int:
+    """Number of nodes of the generic degree-n tree."""
+    return len(_generic_node_set(n))
 
 
 def generic_tree(n: int) -> MonomialTree:
     """Tree covering every possible term of a dense degree-n polynomial.
 
-    Node set: all x^j y^k with j + k < n and (k = 0 or j even).  The pure-x
-    and pure-y chains run from the root; each even-j interior row hangs off
-    x^j and continues with y-edges.  Within this node set every node has a
-    unique feasible parent, so the layout is forced.
+    The pure-x and pure-y chains run from the root; each even-j interior
+    row hangs off x^j and continues with y-edges.  Within the generic node
+    set every node has a unique feasible parent, so the layout is forced.
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    node_set = {(j, k) for j in range(n) for k in range(n - j) if k == 0 or j % 2 == 0}
-    return MonomialTree.from_node_set(node_set)
+    return MonomialTree.from_node_set(_generic_node_set(n))
 
 
 def full_monomial_tree(n: int) -> MonomialTree:
@@ -239,6 +235,13 @@ def _prune_generic(P) -> set:
     return {tree.nodes[i] for i in used}
 
 
+def _popcount(values: np.ndarray) -> np.ndarray:
+    """Number of set bits of each uint32 value, through a 16-bit table."""
+    bits = np.unpackbits(np.arange(1 << 16, dtype=np.uint16).view(np.uint8))
+    table = bits.reshape(-1, 16).sum(axis=1, dtype=np.uint8)
+    return table[values & np.uint32(0xFFFF)] + table[values >> np.uint32(16)]
+
+
 def _exact_min_node_set(P) -> set:
     """Smallest covering node set by vectorized subset enumeration.
 
@@ -280,11 +283,7 @@ def _exact_min_node_set(P) -> set:
             continue
         valid &= (subsets & mask) != 0
 
-    table = np.zeros(1 << 16, dtype=np.uint8)
-    for i in range(1, 1 << 16):
-        table[i] = table[i >> 1] + (i & 1)
-    popcount = table[subsets & np.uint32(0xFFFF)] + table[subsets >> np.uint32(16)]
-    popcount = popcount.astype(np.int64)
+    popcount = _popcount(subsets).astype(np.int64)
     popcount[~valid] = 1 << 30
     best = int(np.argmin(popcount))
     return {(0, 0)} | {nd for nd in non_root if best & bit[nd]}

@@ -229,55 +229,63 @@ def _simple_roots(roots: np.ndarray) -> list[complex]:
     return out
 
 
-def _choose_shift(work, h_low_to_high, shear_maker, target):
-    """Substitution root and shift with the smallest scale amplification.
+def _shear(p: BivariatePolynomial, along_y: bool):
+    """p after x = x' + s y' + t killing its y'^n and y'^(n-1) coefficients,
+    with the recorded step; along_y, after y = u x' + y' + v killing x'^n
+    and x'^(n-1) (the same rule on the transposed table).  None when no
+    simple root of the steering slice gives a usable shift.
 
-    Every simple root of the steering polynomial is tried; the blow-up of
-    the substituted coefficients grows like max(1, |s|, |t|)**degree, so
-    the candidate minimizing that factor wins.  A near-real candidate
-    within a factor two of the best keeps real inputs on real shifts.
-    Returns (root, shift) or None when no candidate works.
+    In the table c the y'^n coefficient is h(s) = sum_i c[i, n-i] s^i and
+    the y'^(n-1) coefficient is exactly g(s) + t h'(s), with
+    g(s) = sum_i c[i, n-1-i] s^i, so s is a root of h and t = -g(s)/h'(s).
+    The blow-up of the substituted coefficients grows like
+    max(1, |s|, |t|)**n, so the candidate minimizing that factor wins; a
+    near-real candidate within a factor two of the best keeps real inputs
+    on real shifts.  One correction pass against the substituted polynomial
+    keeps the killed coefficient at the roundoff of a single substitution
+    even when the shift amplifies the coefficient scale.
     """
-    roots = univariate_roots(h_low_to_high)
-    deriv = np.polyder(np.asarray(h_low_to_high, dtype=complex)[::-1])
+    n = p.degree
+    c = p.coeffs.T if along_y else p.coeffs
+    norm = max(1.0, p.coeff_norm())
+    # along y the u^n entry is the y^n coefficient a preceding shear_x killed
+    h = np.array([c[i, n - i] for i in range(n if along_y else n + 1)])
+    h_scale = max(np.abs(h).max(), DEGREE_TRIM_REL * norm)
+    while h.size > 1 and abs(h[-1]) <= DEGREE_TRIM_REL * h_scale:
+        h = h[:-1]
+    if h.size == 1:
+        return None
+    dh = np.polyder(h[::-1])
+    g = np.array([c[i, n - 1 - i] for i in range(n)])[::-1]
     candidates = []
-    for s in _simple_roots(roots):
-        t = _vanishing_parameter(work, lambda tt: shear_maker(s, tt), target)
-        if t is None:
+    for s in _simple_roots(univariate_roots(h)):
+        slope, offset = complex(np.polyval(dh, s)), complex(np.polyval(g, s))
+        if abs(slope) > 1e-13 * norm:
+            t = -offset / slope
+        elif abs(offset) <= VANISH_TOL * norm:
+            t = 0.0 + 0.0j
+        else:
             continue
-        amp = max(1.0, abs(s), abs(t))
-        candidates.append((amp, -abs(np.polyval(deriv, s)), s, t))
+        if abs(t) <= 1e8 * norm:
+            rank = (max(1.0, abs(s), abs(t)), -abs(slope), s.real, s.imag)
+            candidates.append((rank, s, t, slope))
     if not candidates:
         return None
-    candidates.sort(key=lambda c: (c[0], c[1], c[2].real, c[2].imag))
-    best_amp = candidates[0][0]
-    for amp, _, s, t in candidates:
-        if abs(s.imag) <= 1e-10 * (1.0 + abs(s)) and amp <= 2.0 * best_amp:
-            return s, t
-    return candidates[0][2], candidates[0][3]
-
-
-def _vanishing_parameter(p: BivariatePolynomial, make_sub, target: tuple):
-    """Parameter value killing a coefficient that depends on it linearly.
-
-    One correction pass against the actually substituted polynomial keeps
-    the residual coefficient at the roundoff of a single substitution even
-    when the shift amplifies the coefficient scale.
-    """
-    j, k = target
-    c0 = _coeff_at(p.substitute(make_sub(0.0)), j, k)
-    c1 = _coeff_at(p.substitute(make_sub(1.0)), j, k)
-    slope = c1 - c0
-    if abs(slope) <= 1e-13 * max(1.0, p.coeff_norm()):
-        if abs(c0) <= VANISH_TOL * max(1.0, p.coeff_norm()):
-            return 0.0 + 0.0j
-        return None
-    value = -c0 / slope
-    if abs(value) > 1e8 * max(1.0, p.coeff_norm()):
-        return None
-    residual = _coeff_at(p.substitute(make_sub(value)), j, k)
-    value = value - residual / slope
-    return value
+    candidates.sort(key=lambda cand: cand[0])
+    best_amp = candidates[0][0][0]
+    _, s, t, slope = next(
+        (cand for cand in candidates
+         if abs(cand[1].imag) <= 1e-10 * (1.0 + abs(cand[1])) and cand[0][0] <= 2.0 * best_amp),
+        candidates[0],
+    )
+    kind, names = ("shear_y", ("u", "v")) if along_y else ("shear_x", ("s", "t"))
+    make = getattr(AffineSubstitution, kind)
+    sheared = p.substitute(make(s, t))
+    if abs(slope) > 1e-13 * norm:
+        j, k = (n - 1, 0) if along_y else (0, n - 1)
+        t = t - _coeff_at(sheared, j, k) / slope
+        sheared = p.substitute(make(s, t))
+    return sheared, SubstitutionStep(kind, make(s, t), dict(zip(names, (s, t))))
 
 
 def _main_branch_tree(p: BivariatePolynomial, allow_special: bool) -> RepresentationTree:
@@ -350,19 +358,14 @@ def _cubic_special_tree(p: BivariatePolynomial):
     """Size-3 tree for a cubic after x = x' + s y' + t, or None when the
     steering polynomial has no usable simple root."""
     work, rotation = _rotate_leading_x(p)
-    steps = list(rotation)
-    chosen = _choose_shift(work, _top_slice(work), AffineSubstitution.shear_x, (0, 2))
-    if chosen is None:
+    sheared = _shear(work, along_y=False)
+    if sheared is None:
         return None
-    s, t = chosen
-    shear = AffineSubstitution.shear_x(s, t)
-    tilde = work.substitute(shear)
-    steps.append(SubstitutionStep("shear_x", shear, {"s": s, "t": t}))
+    tilde, shear = sheared
 
-    scale = max(p.coeff_norm(), 1.0)
-    if tilde.degree != 3:
-        return None
-    if max(abs(_coeff_at(tilde, 0, 3)), abs(_coeff_at(tilde, 0, 2))) > VANISH_TOL * scale:
+    scale = max(work.coeff_norm(), 1.0)
+    killed = max(abs(_coeff_at(tilde, 0, 3)), abs(_coeff_at(tilde, 0, 2)))
+    if tilde.degree != 3 or killed > VANISH_TOL * scale:
         return None
 
     quad = [_coeff_at(tilde, 1, 2), _coeff_at(tilde, 2, 1), _coeff_at(tilde, 3, 0)]
@@ -380,66 +383,29 @@ def _cubic_special_tree(p: BivariatePolynomial):
             LinearForm(0.0, c[3, 0], -c[3, 0] * z3),
         ),
     )
-    return _undo_substitutions(tree, steps)
+    return _undo_substitutions(tree, rotation + (shear,))
 
 
 def _quartic_special_tree(p: BivariatePolynomial):
     """Size-5 tree for a quartic after two shears, or None when either
     steering polynomial lacks a usable simple root."""
     work, rotation = _rotate_leading_x(p)
-    steps = list(rotation)
-    chosen = _choose_shift(work, _top_slice(work), AffineSubstitution.shear_x, (0, 3))
-    if chosen is None:
+    sheared = _shear(work, along_y=False)
+    if sheared is None:
         return None
-    s, t = chosen
-    shear1 = AffineSubstitution.shear_x(s, t)
-    tilde = work.substitute(shear1)
-    steps.append(SubstitutionStep("shear_x", shear1, {"s": s, "t": t}))
+    tilde, shear1 = sheared
 
-    scale = max(p.coeff_norm(), 1.0)
-    if tilde.degree != 4:
-        return None
-    if max(abs(_coeff_at(tilde, 0, 4)), abs(_coeff_at(tilde, 0, 3))) > VANISH_TOL * scale:
+    scale = max(work.coeff_norm(), 1.0)
+    killed = max(abs(_coeff_at(tilde, 0, 4)), abs(_coeff_at(tilde, 0, 3)))
+    if tilde.degree != 4 or killed > VANISH_TOL * scale:
         return None
 
-    g = np.array(
-        [
-            _coeff_at(tilde, 4, 0),
-            _coeff_at(tilde, 3, 1),
-            _coeff_at(tilde, 2, 2),
-            _coeff_at(tilde, 1, 3),
-        ],
-        dtype=complex,
-    )
-    g_scale = max(np.abs(g).max(), DEGREE_TRIM_REL * scale)
-    trimmed = g.copy()
-    while trimmed.size > 1 and abs(trimmed[-1]) <= DEGREE_TRIM_REL * g_scale:
-        trimmed = trimmed[:-1]
-    if trimmed.size == 1:
-        if abs(trimmed[0]) > DEGREE_TRIM_REL * scale:
-            return None  # constant nonzero x^4 coefficient: no shear kills it
-        u = 0.0 + 0.0j
-        v = _vanishing_parameter(tilde, lambda vv: AffineSubstitution.shear_y(u, vv), (3, 0))
-        if v is None:
-            return None
-    else:
-        chosen = _choose_shift(tilde, trimmed, AffineSubstitution.shear_y, (3, 0))
-        if chosen is None:
-            return None
-        u, v = chosen
-    shear2 = AffineSubstitution.shear_y(u, v)
-    hat = tilde.substitute(shear2)
-    steps.append(SubstitutionStep("shear_y", shear2, {"u": u, "v": v}))
-
-    if hat.degree != 4:
+    sheared = _shear(tilde, along_y=True)
+    if sheared is None:
         return None
-    killed = (
-        abs(_coeff_at(hat, 3, 0)),
-        abs(_coeff_at(hat, 4, 0)),
-        abs(_coeff_at(hat, 0, 3)),
-        abs(_coeff_at(hat, 0, 4)),
-    )
-    if max(killed) > VANISH_TOL * scale:
+    hat, shear2 = sheared
+    killed = max(abs(_coeff_at(hat, j, k)) for j, k in ((3, 0), (4, 0), (0, 3), (0, 4)))
+    if hat.degree != 4 or killed > VANISH_TOL * scale:
         return None
 
     a31 = _coeff_at(hat, 3, 1)
@@ -475,24 +441,26 @@ def _quartic_special_tree(p: BivariatePolynomial):
             top_coeff,
         ),
     )
-    return _undo_substitutions(tree, steps)
+    return _undo_substitutions(tree, rotation + (shear1, shear2))
 
 
 def _build(p: BivariatePolynomial, allow_special: bool) -> RepresentationTree:
     n = p.degree
     if n < 1 or p.is_zero:
         raise DegenerateInputError("need a nonzero polynomial of degree at least 1")
-    if allow_special and n == 3:
-        tree = _cubic_special_tree(p)
-        if tree is not None:
-            return tree
-    if allow_special and n == 4:
-        tree = _quartic_special_tree(p)
-        if tree is not None:
-            return tree
+    if allow_special and n in (3, 4):
+        special = (_cubic_special_tree if n == 3 else _quartic_special_tree)(p)
+        # a large shear can leave a special tree that no longer reproduces p;
+        # the plain recursion below stays exact
+        scale = max(p.coeff_norm(), 1.0)
+        if special is not None:
+            if (special.reconstruct() - p).coeff_norm() <= REMAINDER_TOL * scale:
+                return special
     work, rotation = _rotate_leading_x(p)
     if rotation:
-        inner = _build(work, allow_special).compose(rotation[0].map.inverse())
+        # a cubic or quartic gets here only when its special tree, which
+        # makes this same rotation, failed
+        inner = _build(work, allow_special and n > 4).compose(rotation[0].map.inverse())
         return inner.with_steps(rotation + inner.substitution_steps)
     return _main_branch_tree(p, allow_special)
 

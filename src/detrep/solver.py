@@ -11,7 +11,9 @@ condition number of the zero.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -53,8 +55,22 @@ class SolveOptions:
     def __post_init__(self):
         if self.linearization not in LINEARIZATIONS:
             raise ValueError(f"linearization must be one of {LINEARIZATIONS}")
+        if isinstance(self.newton_steps, bool) or not isinstance(self.newton_steps, Integral):
+            raise TypeError(f"newton_steps must be an integer, got {self.newton_steps!r}")
         if self.newton_steps < 0:
             raise ValueError("newton_steps must be nonnegative")
+        for name in ("rank_tol", "cluster_tol", "residual_accept", "dedup_tol"):
+            value = getattr(self, name)
+            if name == "rank_tol" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not isinstance(self.swap_variables, bool):
+            raise TypeError(
+                f"swap_variables must be true or false, got {self.swap_variables!r}"
+            )
 
 
 @dataclass

@@ -160,6 +160,23 @@ class TestSolve:
         assert run(["solve", write_system(tmp_path, {"newton_steps": "2"})]) == 1
         assert capsys.readouterr().err.startswith("error: invalid solve options:")
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"rank_tol": "1e-8"},
+            {"cluster_tol": -1e-6},
+            {"residual_accept": 0},
+            {"dedup_tol": True},
+            {"newton_steps": 1.5},
+            {"swap_variables": "no"},
+        ],
+        ids=lambda options: next(iter(options)),
+    )
+    def test_invalid_file_option_value_rejected(self, tmp_path, capsys, options):
+        (name,) = options
+        assert run(["solve", write_system(tmp_path, options)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: invalid solve options: {name}")
+
     def test_file_options_applied(self, tmp_path):
         out, deltas = tmp_path / "roots.json", tmp_path / "deltas.json"
         path = write_system(tmp_path, {"linearization": "lin1"})

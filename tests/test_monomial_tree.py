@@ -16,7 +16,7 @@ from detrep import (
     sparse_tree_heuristic,
 )
 
-from detrep.monomial_tree import _covers, _constrained_terms, _prune_generic
+from detrep.monomial_tree import _constrained_terms, _covers, _popcount, _prune_generic
 from oracles import min_covering_tree_size
 from test_polynomials import CUBIC, random_polynomial
 
@@ -293,6 +293,13 @@ class TestSparseTree:
         p = random_polynomial(rng, n)
         tree = sparse_tree_heuristic(p)
         assert set(tree.nodes) == set(generic_tree(n).nodes)
+
+    def test_popcount_counts_set_bits(self):
+        values = np.concatenate([
+            np.arange(0, 1 << 20, 37, dtype=np.uint32),
+            np.array([0xFFFF, 0x10000, 0xFFFFF, 0xFFFFFFFF], dtype=np.uint32),
+        ])
+        assert _popcount(values).tolist() == [bin(int(v)).count("1") for v in values]
 
     def test_two_chain_polynomial(self):
         p = BivariatePolynomial.from_terms({(9, 0): 1, (0, 9): 1, (0, 0): -1})

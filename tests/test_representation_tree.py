@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detrep import (
     BivariatePolynomial,
@@ -271,6 +273,41 @@ class TestQuarticSpecialCase:
         pencil, _ = special_pencil(p)
         rng = np.random.default_rng(72)
         check_determinant(pencil, p, rng)
+
+
+    def test_special_tree_that_misses_the_polynomial_is_not_used(self):
+        # the x^4 term vanishes; after the rotation the second shear has
+        # |v| ~ 3e4 and the size-5 tree misses p by 2e4 times its scale
+        p = BivariatePolynomial.from_terms({
+            (0, 0): 0.4, (1, 0): -0.7, (0, 1): -0.8, (1, 1): 0.6, (0, 2): 0.7,
+            (2, 1): 0.7, (1, 2): 0.5, (0, 3): 0.8, (1, 3): 0.4, (0, 4): 0.6,
+        })
+        tree = build_tree(p)
+        assert identity_defect(tree, p) <= 1e-8
+        assert len(tree) == len(plain_tree(p))
+        check_determinant(assemble_pencil_from_representation_tree(tree), p, np.random.default_rng(73))
+
+
+@st.composite
+def sparse_low_degree_polynomials(draw):
+    """Cubics and quartics with a top-degree term and a few more terms; the
+    x^n term is often absent, so the shears follow a rotation."""
+    n = draw(st.integers(3, 4))
+    top = draw(st.integers(0, n - 1))
+    others = draw(st.lists(
+        st.tuples(st.integers(0, n), st.integers(0, n)).filter(lambda t: sum(t) <= n),
+        min_size=1, max_size=8,
+    ))
+    coeff = st.floats(0.1, 1.0).flatmap(lambda c: st.sampled_from([c, -c]))
+    terms = {term: draw(coeff) for term in [(top, n - top)] + others}
+    return BivariatePolynomial.from_terms(terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_low_degree_polynomials())
+def test_build_tree_reproduces_sparse_cubics_and_quartics(p):
+    tree = build_tree(p)
+    assert (tree.reconstruct() - p).coeff_norm() <= 1e-8 * max(p.coeff_norm(), 1.0)
 
 
 class TestLinearize:
