@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import monomial_tree, representation_tree, serialize, solver, twopar
+from . import monomial_tree, representation_tree, serialize, solver
 from .polynomials import BivariatePolynomial, MatrixBivariatePolynomial
 
 logger = logging.getLogger("detrep.cli")
@@ -81,7 +81,6 @@ def _solve_options(args, file_opts) -> solver.SolveOptions:
         "residual_accept": args.residual_accept,
     }
     overrides = {key: val for key, val in flags.items() if val is not None}
-    overrides["swap_variables"] = args.swap_xy
     file_opts = dict(file_opts)
     unknown = sorted(set(file_opts) - {f.name for f in dataclasses.fields(solver.SolveOptions)})
     if unknown:
@@ -112,16 +111,14 @@ def cmd_solve(args) -> int:
     _emit(serialize.roots_to_json(records), args.output)
 
     if args.dump_deltas:
-        pen_p = solver.linearize_polynomial(p, opts.linearization)
-        pen_q = solver.linearize_polynomial(q, opts.linearization)
-        deltas = twopar.operator_determinants(
-            twopar.TwoParameterProblem.from_pencils(pen_p, pen_q)
-        )
+        # the deltas and staircase of the orientation that gave the roots
+        deltas = diagnostics.deltas
         dump = {
+            "swapped": diagnostics.swapped,
             "delta0": serialize._matrix_to_json(deltas.delta0),
             "delta1": serialize._matrix_to_json(deltas.delta1),
             "delta2": serialize._matrix_to_json(deltas.delta2),
-            "staircase": diagnostics.staircase_steps,
+            "staircase": [dataclasses.asdict(s) for s in diagnostics.staircase_steps],
             "warnings": diagnostics.warnings,
         }
         serialize.dump(dump, args.dump_deltas)
@@ -254,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--cluster-tol", type=float, default=None)
     p_solve.add_argument("--newton-steps", type=int, default=None)
     p_solve.add_argument("--residual-accept", type=float, default=None)
-    p_solve.add_argument("--swap-xy", action="store_true")
     p_solve.add_argument("--dump-deltas", metavar="PATH",
-                         help="dump the operator determinants to a JSON file")
+                         help="dump the operator determinants of the orientation "
+                         "that gave the roots to a JSON file")
     p_solve.add_argument("--output", help="write the roots JSON here instead of stdout")
     p_solve.set_defaults(func=cmd_solve)
 

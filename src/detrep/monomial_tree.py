@@ -85,10 +85,6 @@ class MonomialTree:
                 raise ValueError(f"node {nd} is unreachable in the node set")
         return cls(tuple(nodes), tuple(parents), tuple(edges))
 
-    def node_monomial(self, i: int) -> BivariatePolynomial:
-        j, k = self.nodes[i]
-        return BivariatePolynomial.from_terms({(j, k): 1.0})
-
 
 def _generic_node_set(n: int) -> set:
     """All x^j y^k with j + k < n and (k = 0 or j even)."""

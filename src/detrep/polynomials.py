@@ -159,9 +159,6 @@ class BivariatePolynomial:
         size = max(self.degree, other.degree) + 1
         return BivariatePolynomial(self._padded(size) - other._padded(size))
 
-    def scale(self, factor: complex) -> "BivariatePolynomial":
-        return BivariatePolynomial(self.coeffs * factor)
-
     def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         da, db = self.degree, other.degree
         out = np.zeros((da + db + 1, da + db + 1), dtype=complex)

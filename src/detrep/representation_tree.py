@@ -354,41 +354,11 @@ def _main_branch_tree(p: BivariatePolynomial, allow_special: bool) -> Representa
     )
 
 
-def _cubic_special_tree(p: BivariatePolynomial):
-    """Size-3 tree for a cubic after x = x' + s y' + t, or None when the
-    steering polynomial has no usable simple root."""
-    work, rotation = _rotate_leading_x(p)
-    sheared = _shear(work, along_y=False)
-    if sheared is None:
-        return None
-    tilde, shear = sheared
-
-    scale = max(work.coeff_norm(), 1.0)
-    killed = max(abs(_coeff_at(tilde, 0, 3)), abs(_coeff_at(tilde, 0, 2)))
-    if tilde.degree != 3 or killed > VANISH_TOL * scale:
-        return None
-
-    quad = [_coeff_at(tilde, 1, 2), _coeff_at(tilde, 2, 1), _coeff_at(tilde, 3, 0)]
-    try:
-        z2, z3 = univariate_roots(quad)
-    except LeadingCoefficientError:
-        return None
-    c = tilde.coeffs
-    tree = RepresentationTree(
-        (None, 0, 1),
-        (None, LinearForm(0.0, 1.0, 0.0), LinearForm(0.0, 1.0, -z2)),
-        (
-            LinearForm(c[0, 0], c[1, 0], c[0, 1]),
-            LinearForm(0.0, c[2, 0], c[1, 1]),
-            LinearForm(0.0, c[3, 0], -c[3, 0] * z3),
-        ),
-    )
-    return _undo_substitutions(tree, rotation + (shear,))
-
-
-def _quartic_special_tree(p: BivariatePolynomial):
-    """Size-5 tree for a quartic after two shears, or None when either
-    steering polynomial lacks a usable simple root."""
+def _special_tree(p: BivariatePolynomial):
+    """Size-3 tree for a cubic after x = x' + s y' + t, or size-5 tree for a
+    quartic after a second shear y = u x' + y' + v; None when a steering
+    polynomial lacks a usable simple root."""
+    n = p.degree
     work, rotation = _rotate_leading_x(p)
     sheared = _shear(work, along_y=False)
     if sheared is None:
@@ -396,9 +366,27 @@ def _quartic_special_tree(p: BivariatePolynomial):
     tilde, shear1 = sheared
 
     scale = max(work.coeff_norm(), 1.0)
-    killed = max(abs(_coeff_at(tilde, 0, 4)), abs(_coeff_at(tilde, 0, 3)))
-    if tilde.degree != 4 or killed > VANISH_TOL * scale:
+    killed = max(abs(_coeff_at(tilde, 0, n)), abs(_coeff_at(tilde, 0, n - 1)))
+    if tilde.degree != n or killed > VANISH_TOL * scale:
         return None
+
+    if n == 3:
+        quad = [_coeff_at(tilde, 1, 2), _coeff_at(tilde, 2, 1), _coeff_at(tilde, 3, 0)]
+        try:
+            z2, z3 = univariate_roots(quad)
+        except LeadingCoefficientError:
+            return None
+        c = tilde.coeffs
+        tree = RepresentationTree(
+            (None, 0, 1),
+            (None, LinearForm(0.0, 1.0, 0.0), LinearForm(0.0, 1.0, -z2)),
+            (
+                LinearForm(c[0, 0], c[1, 0], c[0, 1]),
+                LinearForm(0.0, c[2, 0], c[1, 1]),
+                LinearForm(0.0, c[3, 0], -c[3, 0] * z3),
+            ),
+        )
+        return _undo_substitutions(tree, rotation + (shear1,))
 
     sheared = _shear(tilde, along_y=True)
     if sheared is None:
@@ -449,7 +437,7 @@ def _build(p: BivariatePolynomial, allow_special: bool) -> RepresentationTree:
     if n < 1 or p.is_zero:
         raise DegenerateInputError("need a nonzero polynomial of degree at least 1")
     if allow_special and n in (3, 4):
-        special = (_cubic_special_tree if n == 3 else _quartic_special_tree)(p)
+        special = _special_tree(p)
         # a large shear can leave a special tree that no longer reproduces p;
         # the plain recursion below stays exact
         scale = max(p.coeff_norm(), 1.0)

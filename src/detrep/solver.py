@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -49,7 +49,6 @@ class SolveOptions:
     rank_tol: float | None = None
     cluster_tol: float = twopar.DEFAULT_CLUSTER_TOL
     residual_accept: float = 1e-6  # relative to the coefficient scale
-    swap_variables: bool = False
     dedup_tol: float = 1e-8
 
     def __post_init__(self):
@@ -67,10 +66,6 @@ class SolveOptions:
                 raise TypeError(f"{name} must be a real number, got {value!r}")
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not isinstance(self.swap_variables, bool):
-            raise TypeError(
-                f"swap_variables must be true or false, got {self.swap_variables!r}"
-            )
 
 
 @dataclass
@@ -81,7 +76,9 @@ class SolveDiagnostics:
     rejected: int = 0
     delta_size: int = 0
     reduced_size: int = 0
-    staircase_steps: list[dict] = field(default_factory=list)
+    staircase_steps: list[twopar.StaircaseStep] = field(default_factory=list)
+    # operator determinants of the attempt that produced the roots
+    deltas: twopar.DeltaTriple | None = None
 
 
 def linearize_polynomial(p: BivariatePolynomial, method: str) -> Pencil:
@@ -98,15 +95,22 @@ def _jacobian(pd, qd, x, y):
     return np.array([[px(x, y), py(x, y)], [qx(x, y), qy(x, y)]], dtype=complex)
 
 
+def _condition_and_accuracy(pd, qd, x, y, residual: float) -> tuple[float, float]:
+    """The spectral norm of the inverse Jacobian and the residual times it;
+    both infinite when the Jacobian is singular."""
+    smin = np.linalg.svd(_jacobian(pd, qd, x, y), compute_uv=False)[-1]
+    if smin == 0.0:
+        return float("inf"), float("inf")
+    condition = 1.0 / smin
+    return condition, residual * condition
+
+
 def accuracy_measure(p: BivariatePolynomial, q: BivariatePolynomial, x, y) -> float:
     """max(|p|, |q|) times the spectral norm of the inverse Jacobian;
     infinity when the Jacobian is singular."""
     residual = max(abs(p(x, y)), abs(q(x, y)))
-    jac = _jacobian(partial_derivatives(p), partial_derivatives(q), x, y)
-    smin = np.linalg.svd(jac, compute_uv=False)[-1]
-    if smin == 0.0:
-        return float("inf")
-    return residual / smin
+    pd, qd = partial_derivatives(p), partial_derivatives(q)
+    return _condition_and_accuracy(pd, qd, x, y, residual)[1]
 
 
 def newton_refine(
@@ -151,15 +155,7 @@ def _dedupe(records: list[RootRecord], tol: float) -> list[RootRecord]:
     for rec in sorted(records, key=lambda r: r.accuracy):
         for i, kept in enumerate(out):
             if max(abs(rec.x - kept.x), abs(rec.y - kept.y)) <= tol:
-                out[i] = RootRecord(
-                    kept.x,
-                    kept.y,
-                    kept.residual,
-                    kept.condition,
-                    kept.accuracy,
-                    kept.refined,
-                    kept.multiplicity + rec.multiplicity,
-                )
+                out[i] = replace(kept, multiplicity=kept.multiplicity + rec.multiplicity)
                 break
         else:
             out.append(rec)
@@ -167,6 +163,8 @@ def _dedupe(records: list[RootRecord], tol: float) -> list[RootRecord]:
 
 
 def _solve_once(p, q, opts: SolveOptions, diagnostics: SolveDiagnostics):
+    # a failed attempt's deltas and staircase are not the solve's
+    diagnostics.deltas, diagnostics.staircase_steps = None, []
     pencil_p = linearize_polynomial(p, opts.linearization)
     pencil_q = linearize_polynomial(q, opts.linearization)
     problem = twopar.TwoParameterProblem.from_pencils(pencil_p, pencil_q)
@@ -174,21 +172,12 @@ def _solve_once(p, q, opts: SolveOptions, diagnostics: SolveDiagnostics):
         problem, cluster_tol=opts.cluster_tol, rank_tol=opts.rank_tol
     )
     diagnostics.warnings.extend(result.warnings)
+    diagnostics.deltas = result.deltas
     diagnostics.delta_size = result.deltas.shape[0]
     diagnostics.reduced_size = result.reduced.shape[0]
     diagnostics.candidates = len(result.solutions)
     if result.staircase is not None:
-        diagnostics.staircase_steps = [
-            {
-                "kind": s.kind,
-                "shape": list(s.shape),
-                "rank": s.rank,
-                "kept_sv": s.kept_sv,
-                "dropped_sv": s.dropped_sv,
-                "ambiguous": s.ambiguous,
-            }
-            for s in result.staircase.steps
-        ]
+        diagnostics.staircase_steps = result.staircase.steps
 
     scale = max(p.coeff_norm(), q.coeff_norm())
     pd = partial_derivatives(p)
@@ -214,10 +203,7 @@ def _solve_once(p, q, opts: SolveOptions, diagnostics: SolveDiagnostics):
         ):
             diagnostics.rejected += 1
             continue
-        jac = _jacobian(pd, qd, x, y)
-        smin = np.linalg.svd(jac, compute_uv=False)[-1]
-        condition = float("inf") if smin == 0.0 else 1.0 / smin
-        accuracy = residual * condition
+        condition, accuracy = _condition_and_accuracy(pd, qd, x, y, residual)
         records.append(RootRecord(x, y, residual, condition, accuracy, refined))
     return _dedupe(records, opts.dedup_tol)
 
@@ -229,16 +215,15 @@ def solve_system(
     diagnostics: SolveDiagnostics | None = None,
 ) -> list[RootRecord]:
     """All roots of p(x, y) = q(x, y) = 0, sorted by ascending accuracy
-    measure.  When no candidate survives, the variables are swapped once
-    and the solve retried before giving up."""
+    measure.  Every solve tries the given orientation first; when it yields
+    no root, it retries once with x and y swapped before giving up."""
     opts = opts or SolveOptions()
     diagnostics = diagnostics if diagnostics is not None else SolveDiagnostics()
     if p.is_zero or q.is_zero or p.degree < 1 or q.degree < 1:
         raise ValueError("both polynomials must be nonzero with degree >= 1")
 
-    attempts = [opts.swap_variables] if opts.swap_variables else [False, True]
     last_error: Exception | None = None
-    for swapped in attempts:
+    for swapped in (False, True):
         ps = _swap_polynomial(p) if swapped else p
         qs = _swap_polynomial(q) if swapped else q
         try:
@@ -250,10 +235,7 @@ def solve_system(
         if records:
             if swapped:
                 diagnostics.swapped = True
-                records = [
-                    RootRecord(r.y, r.x, r.residual, r.condition, r.accuracy, r.refined, r.multiplicity)
-                    for r in records
-                ]
+                records = [replace(r, x=r.y, y=r.x) for r in records]
             return sorted(records, key=lambda r: r.accuracy)
         diagnostics.warnings.append(
             "no candidate passed the residual filter"

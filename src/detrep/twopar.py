@@ -74,10 +74,6 @@ class TwoParameterProblem:
     def from_pencils(cls, first: Pencil, second: Pencil) -> "TwoParameterProblem":
         return cls(first.A, first.B, first.C, second.A, second.B, second.C)
 
-    @property
-    def sizes(self) -> tuple[int, int]:
-        return self.A1.shape[0], self.A2.shape[0]
-
 
 @dataclass(frozen=True)
 class DeltaTriple:
@@ -120,10 +116,6 @@ class StaircaseLog:
     left: np.ndarray | None = None
     right: np.ndarray | None = None
     warnings: list[str] = field(default_factory=list)
-
-    @property
-    def compressions(self) -> int:
-        return len(self.steps)
 
 
 def operator_determinants(problem: TwoParameterProblem) -> DeltaTriple:
@@ -310,9 +302,9 @@ def extract_regular_part(
         )
         if m == k and rank == k:
             break
-        if log.compressions >= budget:
+        if len(log.steps) >= budget:
             raise StaircaseError(
-                f"no regular part after {log.compressions} compressions "
+                f"no regular part after {len(log.steps)} compressions "
                 f"(current block {m}x{k}, rank {rank})"
             )
 

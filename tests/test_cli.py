@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from detrep import cli, serialize
+from detrep import cli, serialize, twopar
 from detrep.polynomials import BivariatePolynomial
+from detrep.solver import linearize_polynomial
 
 from test_polynomials import CUBIC
+from test_solver import retry_system
 
 
 @pytest.fixture
@@ -124,6 +126,42 @@ class TestSolve:
         assert dumped["staircase"]  # the 25x25 problem is singular
         assert dumped["staircase"][0]["shape"] == [25, 25]
 
+    def test_dump_deltas_after_retry_holds_swapped_orientation(self, tmp_path):
+        p, q = retry_system()
+        path = tmp_path / "retry.json"
+        serialize.dump(
+            {"p": serialize.polynomial_to_json(p), "q": serialize.polynomial_to_json(q)}, path
+        )
+        out, deltas = tmp_path / "roots.json", tmp_path / "deltas.json"
+        code = run(["solve", str(path), "--method", "tree",
+                    "--output", str(out), "--dump-deltas", str(deltas)])
+        assert code == 2  # the failed first orientation leaves a warning
+        assert len(json.loads(out.read_text())) == 16
+        dumped = json.loads(deltas.read_text())
+        swapped = twopar.TwoParameterProblem.from_pencils(
+            linearize_polynomial(BivariatePolynomial(p.coeffs.T), "lin1"),
+            linearize_polynomial(BivariatePolynomial(q.coeffs.T), "lin1"),
+        )
+        expected = twopar.operator_determinants(swapped).delta0
+        assert np.array_equal(serialize._matrix_from_json(dumped["delta0"]), expected)
+        assert dumped["swapped"] is True
+        assert dumped["staircase"][0]["shape"] == [64, 64]
+
+    def test_exact_singular_root_written_without_nan(self, tmp_path):
+        doc = {
+            "p": serialize.polynomial_to_json(BivariatePolynomial.from_terms({(2, 0): 1.0})),
+            "q": serialize.polynomial_to_json(BivariatePolynomial.from_terms({(0, 2): 1.0})),
+        }
+        path = tmp_path / "double.json"
+        serialize.dump(doc, path)
+        out = tmp_path / "roots.json"
+        assert run(["solve", str(path), "--output", str(out)]) == 2  # left unrefined
+        text = out.read_text()
+        assert "NaN" not in text
+        (root,) = json.loads(text)
+        assert root["multiplicity"] == 4
+        assert root["accuracy"] == float("inf")
+
     def test_power_sum_system_ninety_roots(self, tmp_path):
         doc = {
             "p": serialize.polynomial_to_json(
@@ -156,6 +194,10 @@ class TestSolve:
         assert run(["solve", write_system(tmp_path, {"swap_varables": True})]) == 1
         assert "unknown solve option(s): swap_varables" in capsys.readouterr().err
 
+    def test_removed_swap_option_is_unknown(self, tmp_path, capsys):
+        assert run(["solve", write_system(tmp_path, {"swap_variables": True})]) == 1
+        assert "unknown solve option(s): swap_variables" in capsys.readouterr().err
+
     def test_mistyped_file_option_rejected(self, tmp_path, capsys):
         assert run(["solve", write_system(tmp_path, {"newton_steps": "2"})]) == 1
         assert capsys.readouterr().err.startswith("error: invalid solve options:")
@@ -168,7 +210,6 @@ class TestSolve:
             {"residual_accept": 0},
             {"dedup_tol": True},
             {"newton_steps": 1.5},
-            {"swap_variables": "no"},
         ],
         ids=lambda options: next(iter(options)),
     )

@@ -15,6 +15,31 @@ from oracles import resultant_roots, smallest_singular_value_2x2
 from test_polynomials import CUBIC, random_polynomial
 
 
+# degree-4 system 294 (0-based) of the `detrep bench --seed 0` stream: p then
+# q drawn from np.random.default_rng((0, 4)), uniform(0, 1) over j, then k.
+# lin1 finds no root in the given orientation and all 16 after the swap.
+RETRY_P = [
+    [0.2432323125125727, 0.5673088457571467, 0.01808964150984116, 0.9680723106279814,
+     0.6802848169316502],
+    [0.17019717516215283, 0.9171731839995523, 0.8263894830522875, 0.15349783197252376],
+    [0.4194747344396914, 0.5634335110908623, 0.9219411357714208],
+    [0.44874159761252097, 0.968477996276551],
+    [0.6365642201067231],
+]
+RETRY_Q = [
+    [0.725554838261803, 0.8949051338382931, 0.07692677663308478, 0.5822515344926859,
+     0.8440871259826613],
+    [0.5759736852232071, 0.7659678905476337, 0.16745763439973194, 0.9871676315986369],
+    [0.9631803735986786, 0.9748748602468081, 0.9292830454527347],
+    [0.9499504881766803, 0.9631846030840707],
+    [0.5688307278152768],
+]
+
+
+def retry_system():
+    return BivariatePolynomial.from_rows(RETRY_P), BivariatePolynomial.from_rows(RETRY_Q)
+
+
 def match_pairwise(records, reference, tol):
     """Greedy matching of computed roots against reference pairs."""
     remaining = list(reference)
@@ -161,13 +186,32 @@ class TestSolveSystem:
         accs = [r.accuracy for r in records]
         assert accs == sorted(accs)
 
-    def test_forced_variable_swap_recovers_roots(self):
-        p = BivariatePolynomial.from_terms({(1, 0): 1, (0, 1): 1, (0, 0): -1})
-        q = BivariatePolynomial.from_terms({(1, 0): 1, (0, 1): -1})
-        records = solve_system(p, q, SolveOptions(swap_variables=True))
-        assert len(records) == 1
-        assert records[0].x == pytest.approx(0.5)
-        assert records[0].y == pytest.approx(0.5)
+    def test_empty_first_orientation_retries_swapped(self):
+        p, q = retry_system()
+        diag = SolveDiagnostics()
+        records = solve_system(p, q, SolveOptions(linearization="lin1"), diag)
+        assert diag.swapped
+        assert diag.warnings == ["no candidate passed the residual filter"]
+        assert len(records) == 16
+        assert sum(r.multiplicity for r in records) == 16
+        scale = max(p.coeff_norm(), q.coeff_norm())
+        assert all(max(abs(p(r.x, r.y)), abs(q(r.x, r.y))) <= 1e-12 * scale for r in records)
+        # lin2 needs no retry here; the swapped lin1 roots must come back in
+        # the caller's (x, y) order
+        lin2_diag = SolveDiagnostics()
+        lin2 = solve_system(p, q, SolveOptions(linearization="lin2"), lin2_diag)
+        assert not lin2_diag.swapped
+        match_pairwise(records, [(r.x, r.y) for r in lin2], 1e-8)
+
+    @pytest.mark.parametrize("method", ["auto", "lin1"])
+    def test_exact_singular_root_has_infinite_accuracy(self, method):
+        p = BivariatePolynomial.from_terms({(2, 0): 1.0})
+        q = BivariatePolynomial.from_terms({(0, 2): 1.0})
+        (rec,) = solve_system(p, q, SolveOptions(linearization=method))
+        assert (rec.x, rec.y, rec.multiplicity) == (0.0, 0.0, 4)
+        assert rec.residual == 0.0
+        assert rec.condition == rec.accuracy == float("inf")
+        assert rec.accuracy == accuracy_measure(p, q, rec.x, rec.y)
 
     def test_non_zero_dimensional_system_rejected(self):
         p = BivariatePolynomial.from_terms({(1, 0): 1, (0, 1): 1, (0, 0): -1})
