@@ -52,6 +52,10 @@ print(f"numerical rank: {int(np.sum(sv > 1e-10 * sv[0]))}")
 # Each compression step splits off the null directions of the current
 # delta0 block and keeps the rows that annihilate the matching columns of
 # delta1 and delta2.  The sizes shrink until a regular square block is left.
+# A block that keeps full column rank but has extra rows takes a "rows"
+# step instead: the same compression applied to the conjugate-transposed
+# triple, with the left and right bases swapped, since the bottom rows of
+# delta1 and delta2 are the trailing columns of their conjugate transposes.
 
 reduced, log = extract_regular_part(deltas)
 print("\ncompression steps:")

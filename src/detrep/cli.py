@@ -134,6 +134,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return EXIT_FAILURE
     try:
         pencil = serialize.pencil_from_json(serialize.load(args.pencil))
         poly = serialize.polynomial_from_json(serialize.load(args.polynomial))
@@ -163,7 +166,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if worst <= args.tolerance else EXIT_FAILURE
 
 
-def _bench_row(n: int, seed: int, sizes_only: bool, newton_steps: int) -> dict:
+def _bench_row(n: int, seed: int, sizes_only: bool, opts: solver.SolveOptions) -> dict:
     rng = np.random.default_rng((seed, n))
     def rand_poly():
         table = np.zeros((n + 1, n + 1))
@@ -185,9 +188,8 @@ def _bench_row(n: int, seed: int, sizes_only: bool, newton_steps: int) -> dict:
     if sizes_only:
         return row
     for method in ("lin1", "lin2"):
-        opts = solver.SolveOptions(linearization=method, newton_steps=newton_steps)
         start = time.perf_counter()
-        records = solver.solve_system(p, q, opts)
+        records = solver.solve_system(p, q, dataclasses.replace(opts, linearization=method))
         elapsed = time.perf_counter() - start
         row[f"{method}_roots"] = sum(r.multiplicity for r in records)
         row[f"{method}_max_accuracy"] = max(r.accuracy for r in records)
@@ -200,9 +202,12 @@ def cmd_bench(args) -> int:
     if not (3 <= lo <= hi <= 12):
         print("error: degree range must satisfy 3 <= a <= b <= 12", file=sys.stderr)
         return EXIT_FAILURE
-    rows = [
-        _bench_row(n, args.seed, args.sizes_only, args.newton_steps) for n in range(lo, hi + 1)
-    ]
+    try:
+        opts = solver.SolveOptions(newton_steps=args.newton_steps)
+    except (TypeError, ValueError) as exc:
+        print(f"error: invalid bench options: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    rows = [_bench_row(n, args.seed, args.sizes_only, opts) for n in range(lo, hi + 1)]
 
     headers = list(rows[0].keys())
     print("  ".join(f"{h:>18}" for h in headers))

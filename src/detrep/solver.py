@@ -171,13 +171,13 @@ def _solve_once(p, q, opts: SolveOptions, diagnostics: SolveDiagnostics):
     result = twopar.solve_full(
         problem, cluster_tol=opts.cluster_tol, rank_tol=opts.rank_tol
     )
-    diagnostics.warnings.extend(result.warnings)
     diagnostics.deltas = result.deltas
     diagnostics.delta_size = result.deltas.shape[0]
     diagnostics.reduced_size = result.reduced.shape[0]
     diagnostics.candidates = len(result.solutions)
     if result.staircase is not None:
         diagnostics.staircase_steps = result.staircase.steps
+        diagnostics.warnings.extend(result.staircase.warnings)
 
     scale = max(p.coeff_norm(), q.coeff_norm())
     pd = partial_derivatives(p)

@@ -146,7 +146,7 @@ RANK_ZONE = 1e3
 RANK_GAP = 1e2
 
 
-def _numerical_rank(sv: np.ndarray, cutoff: float):
+def _decide_rank(sv: np.ndarray, cutoff: float, log: StaircaseLog, context: str):
     """Rank against an absolute cutoff anchored to the problem scale.
 
     Within the uncertain zone around the cutoff the split is moved to the
@@ -154,7 +154,8 @@ def _numerical_rank(sv: np.ndarray, cutoff: float):
     may push noise slightly above the nominal cutoff, but genuine structure
     stays orders of magnitude away from it.  A gapless zone with no certain
     values above it counts as pure noise (rank zero); otherwise the nominal
-    cutoff decides and the ambiguity is flagged.
+    cutoff decides, and the ambiguity is recorded in the log and logged as
+    the warning "<context> <kept> vs discarded <dropped>".
     """
     if sv.size == 0:
         return 0, 0.0, 0.0, False
@@ -174,13 +175,6 @@ def _numerical_rank(sv: np.ndarray, cutoff: float):
     kept = float(sv[rank - 1]) if rank > 0 else 0.0
     dropped = float(sv[rank]) if rank < sv.size else 0.0
     ambiguous = rank > 0 and rank < sv.size and dropped > 0 and kept / dropped < GAP_WARN_FACTOR
-    return rank, kept, dropped, ambiguous
-
-
-def _decide_rank(sv: np.ndarray, cutoff: float, log: StaircaseLog, context: str):
-    """`_numerical_rank`, with an ambiguous decision recorded in the log and
-    logged as the warning "<context> <kept> vs discarded <dropped>"."""
-    rank, kept, dropped, ambiguous = _numerical_rank(sv, cutoff)
     if ambiguous:
         msg = f"{context} {kept:.3e} vs discarded {dropped:.3e}"
         log.warnings.append(msg)
@@ -267,17 +261,19 @@ def extract_regular_part(
 ) -> tuple[DeltaTriple, StaircaseLog]:
     """Common regular part of a singular coupled problem.
 
-    Alternates two SVD-based unitary compressions applied to all three
-    matrices at once: while delta0 is column-rank deficient, its right null
-    directions are split off and the rows annihilating the corresponding
-    columns of delta1 and delta2 are kept; when delta0 has full column rank
-    but extra rows, the dual row/column compression runs.  The loop stops
-    at a square block with nonsingular delta0 (possibly empty).
+    Each step compresses all three matrices at once with SVD-based unitary
+    transforms.  While delta0 is column-rank deficient, a columns step
+    splits off its right null directions and keeps the rows that
+    annihilate the matching columns of delta1 and delta2 (the trailing
+    slab).  When delta0 has full column rank but extra rows, a rows step
+    runs instead; it is the columns step of the conjugate-transposed
+    triple with the left and right bases swapped, since the bottom rows of
+    delta1 and delta2 are the trailing columns of their conjugate
+    transposes.  The loop stops at a square block with nonsingular delta0
+    (possibly empty).
     """
-    d0 = deltas.delta0.copy()
-    d1 = deltas.delta1.copy()
-    d2 = deltas.delta2.copy()
-    m, k = d0.shape
+    ds = [mat.copy() for mat in (deltas.delta0, deltas.delta1, deltas.delta2)]
+    m, k = ds[0].shape
     left = np.eye(m, dtype=complex)
     right = np.eye(k, dtype=complex)
     log = StaircaseLog(left=left, right=right)
@@ -286,17 +282,15 @@ def extract_regular_part(
     # one absolute cutoff for every rank decision: unitary transforms and
     # submatrix selection never grow the entries, so the original spectral
     # norms anchor what "negligible" means throughout
-    scale = max(
-        (np.linalg.norm(mat, 2) if mat.size else 0.0) for mat in (d0, d1, d2)
-    )
+    scale = max((np.linalg.norm(mat, 2) if mat.size else 0.0) for mat in ds)
     rel = rank_tol if rank_tol is not None else _default_rank_tol((m, k))
     cutoff = rel * max(scale, 1e-300)
 
     while True:
-        m, k = d0.shape
+        m, k = ds[0].shape
         if m == 0 or k == 0:
             break
-        u, sv, vh = _svd(d0)
+        u, sv, vh = _svd(ds[0])
         rank, kept, dropped, ambiguous = _decide_rank(
             sv, cutoff, log, f"rank decision at {m}x{k} block is ambiguous: kept singular value"
         )
@@ -309,45 +303,31 @@ def extract_regular_part(
             )
 
         v = vh.conj().T
-        d0 = u.conj().T @ d0 @ v
-        d1 = u.conj().T @ d1 @ v
-        d2 = u.conj().T @ d2 @ v
-        left = left @ u
-        right = right @ v
-
-        if rank < k:
-            # columns step: drop delta0's null columns, keep the rows that
-            # annihilate those columns of delta1 and delta2
-            trailing = np.hstack([d1[:, rank:], d2[:, rank:]])
-            u2, sv2, _ = _svd(trailing)
-            rho = _decide_rank(
-                sv2, cutoff, log, f"row compression at {m}x{k} block is ambiguous: kept"
-            )[0]
-            d0 = (u2.conj().T @ d0)[rho:, :rank]
-            d1 = (u2.conj().T @ d1)[rho:, :rank]
-            d2 = (u2.conj().T @ d2)[rho:, :rank]
-            left = (left @ u2)[:, rho:]
-            right = right[:, :rank]
-            log.steps.append(StaircaseStep("columns", (m, k), rank, kept, dropped, ambiguous))
-        else:
-            # rows step (m > k, full column rank): the bottom rows of delta0
-            # vanish; keep only the columns of delta1, delta2 they annihilate
-            bottom = np.vstack([d1[rank:, :], d2[rank:, :]])
-            _, sv3, vh3 = _svd(bottom)
-            rho = _decide_rank(
-                sv3, cutoff, log, f"column compression at {m}x{k} block is ambiguous: kept"
-            )[0]
-            v3 = vh3.conj().T
-            d0 = (d0 @ v3)[:rank, rho:]
-            d1 = (d1 @ v3)[:rank, rho:]
-            d2 = (d2 @ v3)[:rank, rho:]
-            left = left[:, :rank]
-            right = (right @ v3)[:, rho:]
-            log.steps.append(StaircaseStep("rows", (m, k), rank, kept, dropped, ambiguous))
+        ds = [u.conj().T @ d @ v for d in ds]
+        left, right = left @ u, right @ v
+        # a rows step (m > k, full column rank) runs as the columns step of
+        # the conjugate-transposed triple, with the bases swapped
+        rows = rank == k
+        if rows:
+            ds, left, right = [d.conj().T for d in ds], right, left
+        # drop delta0's null columns, keep the rows that annihilate those
+        # columns of delta1 and delta2
+        trailing = np.hstack([ds[1][:, rank:], ds[2][:, rank:]])
+        u2, sv2, _ = _svd(trailing)
+        rho = _decide_rank(
+            sv2, cutoff, log,
+            f"{'column' if rows else 'row'} compression at {m}x{k} block is ambiguous: kept",
+        )[0]
+        ds = [(u2.conj().T @ d)[rho:, :rank] for d in ds]
+        left, right = (left @ u2)[:, rho:], right[:, :rank]
+        if rows:
+            ds, left, right = [d.conj().T for d in ds], right, left
+        kind = "rows" if rows else "columns"
+        log.steps.append(StaircaseStep(kind, (m, k), rank, kept, dropped, ambiguous))
 
     log.left = left
     log.right = right
-    return DeltaTriple(d0, d1, d2), log
+    return DeltaTriple(*ds), log
 
 
 @dataclass
@@ -356,7 +336,6 @@ class TwoParameterResult:
     deltas: DeltaTriple
     reduced: DeltaTriple
     staircase: StaircaseLog | None
-    warnings: list[str]
 
 
 def solve_full(
@@ -369,12 +348,11 @@ def solve_full(
     deltas = operator_determinants(problem)
     try:
         solutions = solve_regular(deltas, cluster_tol=cluster_tol, rank_tol=rank_tol)
-        return TwoParameterResult(solutions, deltas, deltas, None, [])
+        return TwoParameterResult(solutions, deltas, deltas, None)
     except SingularDeltaError:
         pass
     reduced, log = extract_regular_part(deltas, rank_tol=rank_tol)
-    if reduced.shape[0] == 0:
-        return TwoParameterResult([], deltas, reduced, log, list(log.warnings))
-    solutions = solve_regular(reduced, cluster_tol=cluster_tol, rank_tol=rank_tol)
-    return TwoParameterResult(solutions, deltas, reduced, log, list(log.warnings))
-
+    solutions = []
+    if reduced.shape[0]:  # an empty (0 x k) regular part has no eigenvalues
+        solutions = solve_regular(reduced, cluster_tol=cluster_tol, rank_tol=rank_tol)
+    return TwoParameterResult(solutions, deltas, reduced, log)

@@ -258,6 +258,18 @@ class TestVerify:
         assert run(["verify", str(pencil), cubic_file, "--samples", "7"]) == 0
         assert "over 7 samples" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_sample_count_rejected(self, cubic_file, tmp_path, capsys, samples):
+        pencil = tmp_path / "pencil.json"
+        run(["linearize", cubic_file, "--method", "tree", "--output", str(pencil)])
+        # the pencil of another polynomial: no sample would ever catch it
+        other = tmp_path / "other.json"
+        serialize.dump(serialize.polynomial_to_json(BivariatePolynomial.from_terms({(1, 1): 1})), other)
+        assert run(["verify", str(pencil), str(other), "--samples", samples]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --samples must be at least 1")
+        assert "max relative determinant error" not in captured.out
+
     def test_degree_seven_alg2_verifies_tightly(self, tmp_path):
         rng = np.random.default_rng(44)
         table = np.zeros((8, 8))
@@ -301,6 +313,12 @@ class TestBench:
     def test_rejects_out_of_range_degrees(self, capsys):
         assert run(["bench", "--degrees", "1..4"]) == 1
         assert "3 <= a <= b <= 12" in capsys.readouterr().err
+
+    def test_negative_newton_steps_rejected(self, capsys):
+        assert run(["bench", "--degrees", "3..3", "--newton-steps", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid bench options: newton_steps")
+        assert captured.out == ""
 
 
 class TestLogging:

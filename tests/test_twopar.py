@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from detrep import (
     DeltaTriple,
@@ -207,6 +209,64 @@ class TestExtractRegularPart:
         d2 = np.linalg.qr(rng.uniform(-1, 1, (10, 10)))[0]
         _, log = extract_regular_part(DeltaTriple(d0, d1, d2))
         assert log.warnings
+
+
+def tall_triple(seed):
+    """A random k x k triple with e extra rows that combine its rows, mixed
+    by a random unitary: delta0 has full column rank k and k + e rows, and
+    the regular part is the k x k pencil.  Returns the triple and the
+    eigenvalues x of that pencil."""
+    rng = np.random.default_rng(seed)
+    k, e = 1 + seed % 5, 1 + (seed // 5) % 3
+
+    def cmat(rows, cols):
+        return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+    square = [cmat(k, k) for _ in range(3)]
+    combine = cmat(e, k)
+    mix = np.linalg.qr(cmat(k + e, k + e))[0]
+    triple = DeltaTriple(*[mix @ np.vstack([t, combine @ t]) for t in square])
+    return triple, scipy.linalg.eigvals(square[1], square[0])
+
+
+def max_matched_gap(got, want):
+    """Largest |got - want| / max(1, |want|) over the best one-to-one pairing."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    cost = np.abs(got[:, None] - want[None, :]) / np.maximum(1.0, np.abs(want))[None, :]
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].max()
+
+
+class TestRowsStep:
+    """A tall triple with full-column-rank delta0 takes the rows step, which
+    is the columns step of the conjugate-transposed triple."""
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_tall_triple_reduces_to_its_square_pencil(self, seed):
+        triple, eigenvalues = tall_triple(seed)
+        k = triple.shape[1]
+        reduced, log = extract_regular_part(triple)
+        assert [step.kind for step in log.steps] == ["rows"]
+        assert log.steps[0].shape == triple.shape
+        assert log.steps[0].rank == k
+        assert reduced.shape == (k, k)
+        xs = [s.x for s in solve_regular(reduced)]
+        assert max_matched_gap(xs, eigenvalues) <= 1e-10
+        assert np.allclose(
+            log.left.conj().T @ triple.delta1 @ log.right, reduced.delta1, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_conjugate_transpose_takes_the_columns_step(self, seed):
+        triple, eigenvalues = tall_triple(seed)
+        k = triple.shape[1]
+        transposed = DeltaTriple(*[d.conj().T for d in (triple.delta0, triple.delta1, triple.delta2)])
+        reduced, log = extract_regular_part(transposed)
+        assert [step.kind for step in log.steps] == ["columns"]
+        assert reduced.shape == (k, k)
+        xs = [s.x for s in solve_regular(reduced)]
+        assert max_matched_gap(xs, eigenvalues.conj()) <= 1e-10
 
 
 class TestSolveFull:
