@@ -41,17 +41,20 @@ def _trim_table(table: np.ndarray, mags: np.ndarray) -> np.ndarray:
     top = mags.max() if size else 0.0
     if top == 0.0:
         return np.zeros((1, 1) + table.shape[2:], dtype=complex)
-    threshold = DEGREE_TRIM_REL * top
-    degree = 0
-    for j in range(size):
-        for k in range(size - j):
-            if mags[j, k] > threshold:
-                degree = max(degree, j + k)
-    out = np.zeros((degree + 1, degree + 1) + table.shape[2:], dtype=complex)
-    for j in range(degree + 1):
-        for k in range(degree + 1 - j):
-            if mags[j, k] > 0.0:
-                out[j, k] = table[j, k]
+    band = np.add.outer(np.arange(size), np.arange(size))
+    degree = int(band[(band < size) & (mags > DEGREE_TRIM_REL * top)].max(initial=0))
+    head = slice(0, degree + 1)
+    out = table[head, head].copy()
+    out[(band[head, head] > degree) | (mags[head, head] == 0.0)] = 0.0
+    return out
+
+
+def times_linear(table: np.ndarray, a: complex, b: complex, c: complex) -> np.ndarray:
+    """Coefficient table(s) of the product with a + b x + c y, over the last
+    two axes; the top band of `table` must be zero so that the product fits."""
+    out = a * table
+    out[..., 1:, :] += b * table[..., :-1, :]
+    out[..., :, 1:] += c * table[..., :, :-1]
     return out
 
 
@@ -72,7 +75,7 @@ class BivariatePolynomial:
         arr = np.atleast_2d(np.asarray(coeffs, dtype=complex))
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"coefficient table must be square, got {arr.shape}")
-        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         table = _trim_table(arr, np.abs(arr))
         self.coeffs = table
@@ -159,62 +162,34 @@ class BivariatePolynomial:
         size = max(self.degree, other.degree) + 1
         return BivariatePolynomial(self._padded(size) - other._padded(size))
 
-    def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        da, db = self.degree, other.degree
-        out = np.zeros((da + db + 1, da + db + 1), dtype=complex)
-        for j, k, c in self.terms():
-            out[j : j + db + 1, k : k + db + 1] += c * other.coeffs
-        return BivariatePolynomial(out)
-
-    def divide_y_power(self, power: int) -> "BivariatePolynomial":
-        """Exact division by y**power; rows k < power must already be zero."""
-        n = self.degree
-        if n + 1 <= power:
-            return BivariatePolynomial.zero()
-        out = np.zeros((n + 1 - power, n + 1 - power), dtype=complex)
-        for j in range(n + 1 - power):
-            for k in range(n + 1 - power - j):
-                out[j, k] = self.coeffs[j, k + power]
-        return BivariatePolynomial(out)
-
     # -- calculus ------------------------------------------------------------
 
     def derivative(self, variable: str) -> "BivariatePolynomial":
+        if variable not in ("x", "y"):
+            raise ValueError("variable must be 'x' or 'y'")
         n = self.degree
         if n == 0:
             return BivariatePolynomial.zero()
-        out = np.zeros((n, n), dtype=complex)
-        if variable == "x":
-            for j in range(1, n + 1):
-                for k in range(n + 1 - j):
-                    out[j - 1, k] = j * self.coeffs[j, k]
-        elif variable == "y":
-            for j in range(n):
-                for k in range(1, n + 1 - j):
-                    out[j, k - 1] = k * self.coeffs[j, k]
-        else:
-            raise ValueError("variable must be 'x' or 'y'")
-        return BivariatePolynomial(out)
+        # d/dy is d/dx on the transposed table
+        c = self.coeffs if variable == "x" else self.coeffs.T
+        out = np.arange(1, n + 1)[:, None] * c[1:, :n]
+        return BivariatePolynomial(out if variable == "x" else out.T)
 
     # -- change of variables ---------------------------------------------------
 
     def substitute(self, sub: "AffineSubstitution") -> "BivariatePolynomial":
-        """Coefficients of p(E (x', y') + t) via bivariate Horner."""
+        """Coefficients of p(E (x', y') + t) via bivariate Horner on tables."""
         e, t = sub.linear, sub.shift
-        x_new = BivariatePolynomial.from_terms(
-            {(0, 0): t[0], (1, 0): e[0, 0], (0, 1): e[0, 1]}
-        )
-        y_new = BivariatePolynomial.from_terms(
-            {(0, 0): t[1], (1, 0): e[1, 0], (0, 1): e[1, 1]}
-        )
         n = self.degree
-        acc = BivariatePolynomial.zero()
+        # rows[j] accumulates sum_k c[j, k] y^k in the new variables, all j at once
+        rows = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
+        for k in range(n, -1, -1):
+            rows = times_linear(rows, t[1], e[1, 0], e[1, 1])
+            rows[:, 0, 0] += self.coeffs[:, k]
+        acc = np.zeros((n + 1, n + 1), dtype=complex)
         for j in range(n, -1, -1):
-            inner = BivariatePolynomial.zero()
-            for k in range(n - j, -1, -1):
-                inner = inner * y_new + BivariatePolynomial([[self.coeffs[j, k]]])
-            acc = acc * x_new + inner
-        return acc
+            acc = times_linear(acc, t[0], e[0, 0], e[0, 1]) + rows[j]
+        return BivariatePolynomial(acc)
 
 
 @dataclass(frozen=True)
@@ -281,7 +256,7 @@ class MatrixBivariatePolynomial:
         arr = np.asarray(coeffs, dtype=complex)
         if arr.ndim != 4 or arr.shape[0] != arr.shape[1] or arr.shape[2] != arr.shape[3]:
             raise ValueError(f"expected shape (n+1, n+1, k, k), got {arr.shape}")
-        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         table = _trim_table(arr, np.abs(arr).max(axis=(2, 3)))
         self.coeffs = table

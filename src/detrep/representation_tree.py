@@ -23,6 +23,7 @@ from .polynomials import (
     BivariatePolynomial,
     DegenerateInputError,
     LeadingCoefficientError,
+    times_linear,
     univariate_roots,
 )
 
@@ -48,9 +49,6 @@ class LinearForm:
     @property
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0
-
-    def as_polynomial(self) -> BivariatePolynomial:
-        return BivariatePolynomial.from_terms({(0, 0): self.a, (1, 0): self.b, (0, 1): self.c})
 
     def compose(self, sub: AffineSubstitution) -> "LinearForm":
         """The form expressed in the new variables of the substitution."""
@@ -102,19 +100,29 @@ class RepresentationTree:
     def __len__(self):
         return len(self.parents)
 
-    def node_polynomials(self) -> list[BivariatePolynomial]:
-        polys = [BivariatePolynomial([[1.0]])]
+    def _node_tables(self, size: int) -> list[np.ndarray]:
+        # a node's degree is its depth, at most len(self) - 1, so tables of
+        # size len(self) + 1 also hold a coefficient form times the node
+        tables = [np.zeros((size, size), dtype=complex)]
+        tables[0][0, 0] = 1.0
         for i in range(1, len(self)):
-            polys.append(polys[self.parents[i]] * self.edges[i].as_polynomial())
-        return polys
+            e = self.edges[i]
+            tables.append(times_linear(tables[self.parents[i]], e.a, e.b, e.c))
+        return tables
+
+    def _reconstruct_table(self, size: int) -> np.ndarray:
+        total = np.zeros((size, size), dtype=complex)
+        for f, table in zip(self.coeffs, self._node_tables(size)):
+            if not f.is_zero:
+                total += times_linear(table, f.a, f.b, f.c)
+        return total
+
+    def node_polynomials(self) -> list[BivariatePolynomial]:
+        return [BivariatePolynomial(t) for t in self._node_tables(len(self) + 1)]
 
     def reconstruct(self) -> BivariatePolynomial:
         """Sum of coefficient form times node polynomial."""
-        total = BivariatePolynomial.zero()
-        for f, q in zip(self.coeffs, self.node_polynomials()):
-            if not f.is_zero:
-                total = total + f.as_polynomial() * q
-        return total
+        return BivariatePolynomial(self._reconstruct_table(len(self) + 1))
 
     def compose(self, sub: AffineSubstitution) -> "RepresentationTree":
         return RepresentationTree(
@@ -301,35 +309,28 @@ def _main_branch_tree(p: BivariatePolynomial, allow_special: bool) -> Representa
     parents = [None] + [i for i in range(n - 1)]
     edges: list = [None] + [LinearForm(0.0, 1.0, -zeros[k]) for k in range(n - 1)]
 
-    node_polys = [BivariatePolynomial([[1.0]])]
-    for k in range(n - 1):
-        node_polys.append(node_polys[-1] * edges[k + 1].as_polynomial())
-
+    # the x^(k-2) y coefficient of node k-1, prod_{i<k-1} (x - z_i y)
+    beta = np.cumsum(-zeros)
     coeffs = [LinearForm(c[0, 0], c[1, 0], c[0, 1])]
     for k in range(2, n):
-        beta = complex(node_polys[k - 1].coeffs[k - 2, 1])
-        coeffs.append(LinearForm(0.0, c[k, 0], c[k - 1, 1] - c[k, 0] * beta))
+        coeffs.append(LinearForm(0.0, c[k, 0], c[k - 1, 1] - c[k, 0] * beta[k - 2]))
     coeffs.append(LinearForm(0.0, c[n, 0], -c[n, 0] * zeros[n - 1]))
 
-    remainder = p
-    for f, q in zip(coeffs, node_polys):
-        if not f.is_zero:
-            remainder = remainder - f.as_polynomial() * q
-
+    main = RepresentationTree(tuple(parents), tuple(edges), tuple(coeffs))
+    remainder = c - main._reconstruct_table(n + 1)
     scale = max(p.coeff_norm(), 1.0)
-    table = remainder.coeffs.copy()
-    low = np.abs(table[:, :2]).max() if table.shape[1] >= 1 else 0.0
+    low = np.abs(remainder[:, :2]).max()
     if low > REMAINDER_TOL * scale:  # pragma: no cover - algebraic identity
         raise DegenerateInputError("remainder unexpectedly involves y^0 or y^1 terms")
-    # roundoff leftovers must not masquerade as remainder terms: judge
-    # against the scale of the parent polynomial, not of the remainder
+    # divided by y^2; roundoff leftovers must not masquerade as remainder
+    # terms: judge against the scale of the parent polynomial, not of the
+    # remainder
+    table = remainder[: n - 1, 2:]
     table[np.abs(table) <= REMAINDER_CLEAN * scale] = 0.0
-    if table.shape[1] >= 2:
-        table[:, :2] = 0.0
-    s = BivariatePolynomial(table).divide_y_power(2)
+    s = BivariatePolynomial(table)
 
     if s.is_zero:
-        return RepresentationTree(tuple(parents), tuple(edges), tuple(coeffs))
+        return main
 
     bridge = len(parents)
     parents.append(0)
@@ -440,9 +441,10 @@ def _build(p: BivariatePolynomial, allow_special: bool) -> RepresentationTree:
         special = _special_tree(p)
         # a large shear can leave a special tree that no longer reproduces p;
         # the plain recursion below stays exact
-        scale = max(p.coeff_norm(), 1.0)
         if special is not None:
-            if (special.reconstruct() - p).coeff_norm() <= REMAINDER_TOL * scale:
+            misfit = special._reconstruct_table(max(len(special), n) + 1)
+            misfit[: n + 1, : n + 1] -= p.coeffs
+            if np.abs(misfit).max() <= REMAINDER_TOL * max(p.coeff_norm(), 1.0):
                 return special
     work, rotation = _rotate_leading_x(p)
     if rotation:

@@ -123,8 +123,11 @@ def newton_refine(
     """`steps` Newton iterations on (p, q); stops early once the residual
     stagnates at machine scale.  A singular Jacobian aborts refinement and
     returns the current point with refined=False."""
-    pd = partial_derivatives(p)
-    qd = partial_derivatives(q)
+    return _newton(p, q, partial_derivatives(p), partial_derivatives(q), x0, y0, steps)
+
+
+def _newton(p, q, pd, qd, x0, y0, steps):
+    """`newton_refine` with the partial derivatives pd, qd of p and q given."""
     scale = max(p.coeff_norm(), q.coeff_norm(), 1.0)
     x, y = complex(x0), complex(y0)
     refined = True
@@ -188,7 +191,7 @@ def _solve_once(p, q, opts: SolveOptions, diagnostics: SolveDiagnostics):
         if not (np.isfinite(x.real) and np.isfinite(x.imag) and np.isfinite(y.real) and np.isfinite(y.imag)):
             continue
         if opts.newton_steps > 0:
-            x, y, refined = newton_refine(p, q, x, y, opts.newton_steps)
+            x, y, refined = _newton(p, q, pd, qd, x, y, opts.newton_steps)
         # backward-error filter: the natural residual scale at (x, y) grows
         # like the largest monomial, so roots far outside the unit bidisk
         # are judged relative to scale * max(1, |x|, |y|)**degree

@@ -152,10 +152,11 @@ def _decide_rank(sv: np.ndarray, cutoff: float, log: StaircaseLog, context: str)
     Within the uncertain zone around the cutoff the split is moved to the
     largest gap between consecutive singular values: accumulated roundoff
     may push noise slightly above the nominal cutoff, but genuine structure
-    stays orders of magnitude away from it.  A gapless zone with no certain
-    values above it counts as pure noise (rank zero); otherwise the nominal
-    cutoff decides, and the ambiguity is recorded in the log and logged as
-    the warning "<context> <kept> vs discarded <dropped>".
+    stays orders of magnitude away from it.  The split never keeps a value
+    at or below the cutoff.  A gapless zone with no certain values above it
+    counts as pure noise (rank zero); otherwise the nominal cutoff decides,
+    and the ambiguity is recorded in the log and logged as the warning
+    "<context> <kept> vs discarded <dropped>".
     """
     if sv.size == 0:
         return 0, 0.0, 0.0, False
@@ -164,7 +165,7 @@ def _decide_rank(sv: np.ndarray, cutoff: float, log: StaircaseLog, context: str)
     plausible = int(np.sum(sv > cutoff / RANK_ZONE))
     if plausible > certain:
         best_rank, best_ratio = rank, 0.0
-        for r in range(max(certain, 1), min(plausible, sv.size - 1) + 1):
+        for r in range(max(certain, 1), min(rank, sv.size - 1) + 1):
             ratio = sv[r - 1] / sv[r] if sv[r] > 0 else np.inf
             if ratio > best_ratio:
                 best_ratio, best_rank = ratio, r

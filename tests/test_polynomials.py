@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from detrep import (
     AffineSubstitution,
@@ -9,6 +11,7 @@ from detrep import (
     partial_derivatives,
     univariate_roots,
 )
+from detrep.polynomials import DEGREE_TRIM_REL, _trim_table
 
 from oracles import central_difference, naive_eval
 
@@ -231,3 +234,106 @@ class TestTableHygiene:
     def test_from_rows_shape_checked(self):
         with pytest.raises(ValueError):
             BivariatePolynomial.from_rows([[1.0, 2.0], [3.0, 4.0]])
+
+
+# -- properties of the coefficient-table arithmetic ----------------------------
+
+unit = st.floats(-1.0, 1.0)
+complex_unit = st.builds(complex, unit, unit)
+
+
+@st.composite
+def complex_polynomials(draw, min_degree=1, max_degree=10):
+    n = draw(st.integers(min_degree, max_degree))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_polynomial(np.random.default_rng(seed), n, complex_coeffs=True)
+
+
+@st.composite
+def invertible_substitutions(draw):
+    e = np.array([[draw(complex_unit) for _ in range(2)] for _ in range(2)])
+    assume(abs(np.linalg.det(e)) > 1e-3)
+    return AffineSubstitution(e, np.array([draw(complex_unit), draw(complex_unit)]))
+
+
+def magnitude(p, x, y):
+    """sum |c_jk| |x|^j |y|^k, the scale of the rounding in p(x, y)."""
+    return sum(abs(c) * abs(x) ** j * abs(y) ** k for j, k, c in p.terms())
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_polynomials(), invertible_substitutions(), complex_unit, complex_unit)
+def test_substitute_matches_pointwise_evaluation(p, sub, u, v):
+    out = p.substitute(sub)
+    x, y = sub.apply_point(u, v)
+    scale = max(magnitude(p, x, y), magnitude(out, u, v))
+    assert abs(out(u, v) - p(x, y)) <= 1e-10 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_polynomials(), invertible_substitutions())
+def test_substituted_table_is_zero_outside_the_triangle(p, sub):
+    out = p.substitute(sub)
+    n = out.degree
+    assert out.coeffs.shape == (n + 1, n + 1)
+    band = np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    assert np.all(out.coeffs[band > n] == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_polynomials(min_degree=0), st.booleans())
+def test_derivative_is_the_termwise_formula(p, zero):
+    if zero:
+        p = BivariatePolynomial.zero()
+    size = max(p.degree, 1)
+    dx = np.zeros((size, size), dtype=complex)
+    dy = np.zeros((size, size), dtype=complex)
+    for j, k, c in p.terms():
+        if j > 0:
+            dx[j - 1, k] = j * c
+        if k > 0:
+            dy[j, k - 1] = k * c
+    for got, want in zip(partial_derivatives(p), (dx, dy)):
+        assert np.array_equal(got.coeffs, BivariatePolynomial(want).coeffs)
+
+
+def trim_table_loop(table, mags):
+    """The element loop `_trim_table` replaced, kept as its reference."""
+    size = table.shape[0]
+    top = mags.max() if size else 0.0
+    if top == 0.0:
+        return np.zeros((1, 1) + table.shape[2:], dtype=complex)
+    threshold = DEGREE_TRIM_REL * top
+    degree = 0
+    for j in range(size):
+        for k in range(size - j):
+            if mags[j, k] > threshold:
+                degree = max(degree, j + k)
+    out = np.zeros((degree + 1, degree + 1) + table.shape[2:], dtype=complex)
+    for j in range(degree + 1):
+        for k in range(degree + 1 - j):
+            if mags[j, k] > 0.0:
+                out[j, k] = table[j, k]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 11),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0]), max_size=12),
+    st.sampled_from([(), (2, 2)]),
+)
+def test_trim_table_matches_the_element_loop(size, seed, planted, block):
+    """Entries planted at multiples of DEGREE_TRIM_REL times the top, on and
+    off the triangle, decide the degree exactly as the loop does."""
+    rng = np.random.default_rng(seed)
+    table = np.zeros((size, size) + block, dtype=complex)
+    table[0, 0] = 1.0
+    for factor in planted:
+        j, k = rng.integers(0, size, 2)
+        table[j, k] = factor * DEGREE_TRIM_REL * np.exp(2j * np.pi * rng.uniform())
+    mags = np.abs(table) if not block else np.abs(table).max(axis=(2, 3))
+    want = trim_table_loop(table, mags)
+    got = _trim_table(table, mags)
+    assert got.shape == want.shape and np.array_equal(got, want)

@@ -310,6 +310,24 @@ def test_build_tree_reproduces_sparse_cubics_and_quartics(p):
     assert (tree.reconstruct() - p).coeff_norm() <= 1e-8 * max(p.coeff_norm(), 1.0)
 
 
+def test_dense_cubic_tree_builds_few_polynomial_objects(monkeypatch):
+    """The shears and the reconstruction guard work on coefficient tables;
+    only a substitution's result becomes a polynomial object."""
+    built = []
+    init = BivariatePolynomial.__init__
+
+    def counting_init(self, coeffs):
+        built.append(1)
+        init(self, coeffs)
+
+    p = random_polynomial(np.random.default_rng(95), 3)
+    monkeypatch.setattr(BivariatePolynomial, "__init__", counting_init)
+    tree = build_tree(p)
+    monkeypatch.undo()
+    assert len(tree) == 3
+    assert len(built) <= 8
+
+
 class TestLinearize:
     @pytest.mark.parametrize(
         "n,size",

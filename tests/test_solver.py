@@ -9,6 +9,7 @@ from detrep import (
     newton_refine,
     solve_system,
 )
+from detrep import solver
 from detrep.solver import SolveDiagnostics
 
 from oracles import resultant_roots, smallest_singular_value_2x2
@@ -131,6 +132,25 @@ class TestSolveSystem:
         reference = resultant_roots(CUBIC.coeffs, q.coeffs)
         assert len(reference) == 9
         match_pairwise(records, reference, 1e-7)
+
+    def test_derivatives_computed_once_per_attempt(self, monkeypatch):
+        calls, attempts = [], []
+        derivatives, solve_once = solver.partial_derivatives, solver._solve_once
+
+        def counting_derivatives(p):
+            calls.append(p)
+            return derivatives(p)
+
+        def counting_solve_once(*args):
+            attempts.append(args)
+            return solve_once(*args)
+
+        monkeypatch.setattr(solver, "partial_derivatives", counting_derivatives)
+        monkeypatch.setattr(solver, "_solve_once", counting_solve_once)
+        rng = np.random.default_rng(203)
+        records = solve_system(random_polynomial(rng, 3), random_polynomial(rng, 3))
+        assert len(records) == 9
+        assert attempts and len(calls) <= 2 * len(attempts)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_bezout_count_random_dense(self, n):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,7 +16,7 @@ from detrep import (
     operator_determinants,
     solve_regular,
 )
-from detrep.twopar import is_delta0_nonsingular, solve_full
+from detrep.twopar import StaircaseLog, _decide_rank, is_delta0_nonsingular, solve_full
 
 from oracles import naive_kron, resultant_roots
 from test_polynomials import random_polynomial
@@ -209,6 +211,14 @@ class TestExtractRegularPart:
         d2 = np.linalg.qr(rng.uniform(-1, 1, (10, 10)))[0]
         _, log = extract_regular_part(DeltaTriple(d0, d1, d2))
         assert log.warnings
+
+    def test_noise_below_the_cutoff_is_never_rank(self, caplog):
+        # a slab of two noise values far below the cutoff, 140x apart
+        log, sv = StaircaseLog(), np.array([4.6e-15, 3.3e-17])
+        with caplog.at_level(logging.WARNING, logger="detrep.twopar"):
+            rank, kept, _, ambiguous = _decide_rank(sv, 1.5e-12, log, "slab")
+        assert (rank, kept, ambiguous) == (0, 0.0, False)
+        assert not log.warnings and not caplog.records
 
 
 def tall_triple(seed):
