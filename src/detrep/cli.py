@@ -20,8 +20,6 @@ import numpy as np
 from . import monomial_tree, representation_tree, serialize, solver
 from .polynomials import BivariatePolynomial, MatrixBivariatePolynomial
 
-logger = logging.getLogger("detrep.cli")
-
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_PARTIAL = 2

@@ -136,15 +136,8 @@ class BivariatePolynomial:
 
     def __call__(self, x: complex, y: complex) -> complex:
         """Evaluate with nested Horner recurrences (y innermost)."""
-        n = self.degree
-        acc = 0.0 + 0.0j
-        for j in range(n, -1, -1):
-            row = self.coeffs[j]
-            inner = 0.0 + 0.0j
-            for k in range(n - j, -1, -1):
-                inner = inner * y + row[k]
-            acc = acc * x + inner
-        return complex(acc)
+        point = np.array([x], dtype=complex), np.array([y], dtype=complex)
+        return complex(evaluate_tables(self.coeffs[None], *point)[0, 0])
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -161,19 +154,6 @@ class BivariatePolynomial:
     def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         size = max(self.degree, other.degree) + 1
         return BivariatePolynomial(self._padded(size) - other._padded(size))
-
-    # -- calculus ------------------------------------------------------------
-
-    def derivative(self, variable: str) -> "BivariatePolynomial":
-        if variable not in ("x", "y"):
-            raise ValueError("variable must be 'x' or 'y'")
-        n = self.degree
-        if n == 0:
-            return BivariatePolynomial.zero()
-        # d/dy is d/dx on the transposed table
-        c = self.coeffs if variable == "x" else self.coeffs.T
-        out = np.arange(1, n + 1)[:, None] * c[1:, :n]
-        return BivariatePolynomial(out if variable == "x" else out.T)
 
     # -- change of variables ---------------------------------------------------
 
@@ -288,11 +268,9 @@ class MatrixBivariatePolynomial:
         return BivariatePolynomial(self.coeffs[:, :, row, col])
 
     def __call__(self, x: complex, y: complex) -> np.ndarray:
-        k = self.block_size
-        acc = np.zeros((k, k), dtype=complex)
-        for j, kk, blk in self.terms():
-            acc += (x**j) * (y**kk) * blk
-        return acc
+        tables = np.moveaxis(self.coeffs, (2, 3), (0, 1)).reshape((-1,) + self.coeffs.shape[:2])
+        point = np.array([x], dtype=complex), np.array([y], dtype=complex)
+        return evaluate_tables(tables, *point).reshape(self.block_size, self.block_size)
 
 
 # -- module-level operation surface ------------------------------------------
@@ -335,4 +313,32 @@ def partial_derivatives(
     p: BivariatePolynomial,
 ) -> tuple[BivariatePolynomial, BivariatePolynomial]:
     """(dp/dx, dp/dy) as polynomials."""
-    return p.derivative("x"), p.derivative("y")
+    return tuple(BivariatePolynomial(t) for t in derivative_tables(p.coeffs))
+
+
+def derivative_tables(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of d/dx and d/dy of the square coefficient table c, one
+    smaller; of size 0 for a constant."""
+    n = c.shape[0] - 1
+    powers = np.arange(1, n + 1)
+    return powers[:, None] * c[1:, :n], powers * c[:n, 1:]
+
+
+def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] w^i by Horner's rule, each step z * w + c taken as
+    z * Re(w) + z * i Im(w) + c: that rounds like Python's complex arithmetic,
+    as a product with a real or an imaginary factor rounds each part once."""
+    wr, wi = w.real, 1j * w.imag
+    z = coeffs[-1] + np.zeros(w.shape)  # one value per point, also for constants
+    for c in coeffs[-2::-1]:
+        z = z * wr + z * wi + c
+    return z
+
+
+def evaluate_tables(tables: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Values of the stacked (t, s, s) coefficient tables at the points
+    (x[i], y[i]), as a (t, len(x)) array; nested Horner recurrences, y
+    innermost.  Overflow gives inf or nan, which callers test."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _horner(tables.transpose(2, 0, 1)[..., None], y)  # (t, s, k)
+        return _horner(rows.transpose(1, 0, 2), x)

@@ -10,7 +10,6 @@ condition number of the zero.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
@@ -19,9 +18,7 @@ import numpy as np
 
 from . import monomial_tree, representation_tree, twopar
 from .pencils import Pencil
-from .polynomials import BivariatePolynomial, partial_derivatives
-
-logger = logging.getLogger("detrep.solver")
+from .polynomials import BivariatePolynomial, derivative_tables, evaluate_tables
 
 LINEARIZATIONS = ("auto", "lin1", "lin2")
 
@@ -90,65 +87,78 @@ def linearize_polynomial(p: BivariatePolynomial, method: str) -> Pencil:
     raise ValueError(f"unknown linearization {method!r}")
 
 
-def _jacobian(pd, qd, x, y):
-    (px, py), (qx, qy) = pd, qd
-    return np.array([[px(x, y), py(x, y)], [qx(x, y), qy(x, y)]], dtype=complex)
+def _stack_tables(p: BivariatePolynomial, q: BivariatePolynomial) -> np.ndarray:
+    """p, q, dp/dx, dp/dy, dq/dx and dq/dy as coefficient tables of one size."""
+    size = max(p.degree, q.degree) + 1
+    tables = np.zeros((6, size, size), dtype=complex)
+    polys = (p.coeffs, q.coeffs, *derivative_tables(p.coeffs), *derivative_tables(q.coeffs))
+    for table, c in zip(tables, polys):
+        table[: c.shape[0], : c.shape[0]] = c
+    return tables
 
 
-def _condition_and_accuracy(pd, qd, x, y, residual: float) -> tuple[float, float]:
-    """The spectral norm of the inverse Jacobian and the residual times it;
-    both infinite when the Jacobian is singular."""
-    smin = np.linalg.svd(_jacobian(pd, qd, x, y), compute_uv=False)[-1]
-    if smin == 0.0:
-        return float("inf"), float("inf")
-    condition = 1.0 / smin
-    return condition, residual * condition
+def _evaluate(tables, x, y):
+    """At k points: (p, q) as a (k, 2) array, their moduli (the hypot of
+    Python's abs), the (k, 2, 2) Jacobians and their singular values,
+    largest first; a Jacobian that overflowed counts as exactly singular."""
+    vals = evaluate_tables(tables, x, y)
+    fx, jac = vals[:2].T, vals[2:].T.reshape(-1, 2, 2)
+    finite = np.isfinite(jac).all(axis=(1, 2))
+    sv = np.zeros(jac.shape[:2])
+    sv[finite] = np.linalg.svd(jac[finite], compute_uv=False)
+    return fx, np.hypot(fx.real, fx.imag), jac, sv
+
+
+def _measure(tables, x, y):
+    """At each point: |p| and |q|, the residual max(|p|, |q|), the spectral
+    norm of the inverse Jacobian and the residual times it (the accuracy);
+    the last two are infinite where the Jacobian is singular."""
+    _, absf, _, sv = _evaluate(tables, x, y)
+    residual = absf.max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = 1.0 / sv[:, 1]
+        return absf, residual, condition, np.where(sv[:, 1] > 0, residual * condition, np.inf)
+
+
+def _polish(tables, scale, x, y, steps):
+    """`steps` Newton iterations on every point at once.  Per point and per
+    step: a singular Jacobian stops it with refined=False, a residual at
+    machine scale stops it, and otherwise it takes one step."""
+    x, y = x.copy(), y.copy()
+    refined = np.ones(x.shape, dtype=bool)
+    live = np.arange(x.size)
+    for _ in range(steps):
+        if live.size == 0:
+            break
+        fx, absf, jac, sv = _evaluate(tables, x[live], y[live])
+        # likely a multiple root; Newton cannot certify progress here
+        singular = sv[:, 1] <= 1e-14 * np.maximum(sv[:, 0], 1.0)
+        refined[live[singular]] = False
+        step = ~singular & ~(absf.max(axis=1) <= 1e2 * np.finfo(float).eps * scale)
+        delta = np.linalg.solve(jac[step], fx[step, :, None])[..., 0]
+        live = live[step]
+        x[live] -= delta[:, 0]
+        y[live] -= delta[:, 1]
+    return x, y, refined
 
 
 def accuracy_measure(p: BivariatePolynomial, q: BivariatePolynomial, x, y) -> float:
     """max(|p|, |q|) times the spectral norm of the inverse Jacobian;
     infinity when the Jacobian is singular."""
-    residual = max(abs(p(x, y)), abs(q(x, y)))
-    pd, qd = partial_derivatives(p), partial_derivatives(q)
-    return _condition_and_accuracy(pd, qd, x, y, residual)[1]
+    point = np.array([complex(x)]), np.array([complex(y)])
+    return float(_measure(_stack_tables(p, q), *point)[3][0])
 
 
 def newton_refine(
-    p: BivariatePolynomial,
-    q: BivariatePolynomial,
-    x0: complex,
-    y0: complex,
-    steps: int = 2,
+    p: BivariatePolynomial, q: BivariatePolynomial, x0: complex, y0: complex, steps: int = 2
 ) -> tuple[complex, complex, bool]:
     """`steps` Newton iterations on (p, q); stops early once the residual
     stagnates at machine scale.  A singular Jacobian aborts refinement and
     returns the current point with refined=False."""
-    return _newton(p, q, partial_derivatives(p), partial_derivatives(q), x0, y0, steps)
-
-
-def _newton(p, q, pd, qd, x0, y0, steps):
-    """`newton_refine` with the partial derivatives pd, qd of p and q given."""
+    point = np.array([complex(x0)]), np.array([complex(y0)])
     scale = max(p.coeff_norm(), q.coeff_norm(), 1.0)
-    x, y = complex(x0), complex(y0)
-    refined = True
-    for _ in range(steps):
-        fx = np.array([p(x, y), q(x, y)], dtype=complex)
-        jac = _jacobian(pd, qd, x, y)
-        sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[-1] <= 1e-14 * max(sv[0], 1.0):
-            # likely a multiple root; Newton cannot certify progress here
-            refined = False
-            break
-        if np.abs(fx).max() <= 1e2 * np.finfo(float).eps * scale:
-            break
-        delta = np.linalg.solve(jac, fx)
-        x -= complex(delta[0])
-        y -= complex(delta[1])
-    return x, y, refined
-
-
-def _swap_polynomial(p: BivariatePolynomial) -> BivariatePolynomial:
-    return BivariatePolynomial(p.coeffs.T)
+    x, y, refined = _polish(_stack_tables(p, q), scale, *point, steps)
+    return complex(x[0]), complex(y[0]), bool(refined[0])
 
 
 def _dedupe(records: list[RootRecord], tol: float) -> list[RootRecord]:
@@ -168,12 +178,9 @@ def _dedupe(records: list[RootRecord], tol: float) -> list[RootRecord]:
 def _solve_once(p, q, opts: SolveOptions, diagnostics: SolveDiagnostics):
     # a failed attempt's deltas and staircase are not the solve's
     diagnostics.deltas, diagnostics.staircase_steps = None, []
-    pencil_p = linearize_polynomial(p, opts.linearization)
-    pencil_q = linearize_polynomial(q, opts.linearization)
-    problem = twopar.TwoParameterProblem.from_pencils(pencil_p, pencil_q)
-    result = twopar.solve_full(
-        problem, cluster_tol=opts.cluster_tol, rank_tol=opts.rank_tol
-    )
+    pencils = (linearize_polynomial(f, opts.linearization) for f in (p, q))
+    problem = twopar.TwoParameterProblem.from_pencils(*pencils)
+    result = twopar.solve_full(problem, cluster_tol=opts.cluster_tol, rank_tol=opts.rank_tol)
     diagnostics.deltas = result.deltas
     diagnostics.delta_size = result.deltas.shape[0]
     diagnostics.reduced_size = result.reduced.shape[0]
@@ -182,32 +189,22 @@ def _solve_once(p, q, opts: SolveOptions, diagnostics: SolveDiagnostics):
         diagnostics.staircase_steps = result.staircase.steps
         diagnostics.warnings.extend(result.staircase.warnings)
 
+    xs, ys = np.array([(s.x, s.y) for s in result.solutions], dtype=complex).reshape(-1, 2).T
+    finite = np.isfinite(xs) & np.isfinite(ys)
     scale = max(p.coeff_norm(), q.coeff_norm())
-    pd = partial_derivatives(p)
-    qd = partial_derivatives(q)
-    records = []
-    for sol in result.solutions:
-        x, y, refined = sol.x, sol.y, False
-        if not (np.isfinite(x.real) and np.isfinite(x.imag) and np.isfinite(y.real) and np.isfinite(y.imag)):
-            continue
-        if opts.newton_steps > 0:
-            x, y, refined = _newton(p, q, pd, qd, x, y, opts.newton_steps)
-        # backward-error filter: the natural residual scale at (x, y) grows
-        # like the largest monomial, so roots far outside the unit bidisk
-        # are judged relative to scale * max(1, |x|, |y|)**degree
-        magnitude = max(1.0, abs(x), abs(y))
-        rp = abs(p(x, y))
-        rq = abs(q(x, y))
-        residual = max(rp, rq)
-        if (
-            not np.isfinite(residual)
-            or rp > opts.residual_accept * scale * magnitude**p.degree
-            or rq > opts.residual_accept * scale * magnitude**q.degree
-        ):
-            diagnostics.rejected += 1
-            continue
-        condition, accuracy = _condition_and_accuracy(pd, qd, x, y, residual)
-        records.append(RootRecord(x, y, residual, condition, accuracy, refined))
+    tables = _stack_tables(p, q)
+    x, y, refined = _polish(tables, max(scale, 1.0), xs[finite], ys[finite], opts.newton_steps)
+    refined &= opts.newton_steps > 0
+    absf, residual, condition, accuracy = _measure(tables, x, y)
+    # backward-error filter: the natural residual scale at (x, y) grows
+    # like the largest monomial, so roots far outside the unit bidisk
+    # are judged relative to scale * max(1, |x|, |y|)**degree
+    magnitude = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))[:, None]
+    bound = opts.residual_accept * scale * magnitude ** [p.degree, q.degree]
+    keep = np.isfinite(residual) & ~(absf > bound).any(axis=1)
+    diagnostics.rejected += xs.size - int(keep.sum())  # the non-finite ones too
+    fields = (x, y, residual, condition, accuracy, refined)
+    records = [RootRecord(*f) for f in zip(*(a[keep].tolist() for a in fields))]
     return _dedupe(records, opts.dedup_tol)
 
 
@@ -227,8 +224,7 @@ def solve_system(
 
     last_error: Exception | None = None
     for swapped in (False, True):
-        ps = _swap_polynomial(p) if swapped else p
-        qs = _swap_polynomial(q) if swapped else q
+        ps, qs = (BivariatePolynomial(f.coeffs.T) for f in (p, q)) if swapped else (p, q)
         try:
             records = _solve_once(ps, qs, opts, diagnostics)
         except (twopar.StaircaseError, twopar.SingularDeltaError) as exc:

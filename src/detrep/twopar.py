@@ -61,14 +61,10 @@ class TwoParameterProblem:
         for name in ("A1", "B1", "C1", "A2", "B2", "C2"):
             mat = np.asarray(getattr(self, name), dtype=complex)
             object.__setattr__(self, name, mat)
-        n1 = self.A1.shape[0]
-        n2 = self.A2.shape[0]
-        for name in ("A1", "B1", "C1"):
-            if getattr(self, name).shape != (n1, n1):
-                raise ValueError(f"{name} must be square of size {n1}")
-        for name in ("A2", "B2", "C2"):
-            if getattr(self, name).shape != (n2, n2):
-                raise ValueError(f"{name} must be square of size {n2}")
+        for name in ("A1", "B1", "C1", "A2", "B2", "C2"):
+            n = (self.A1 if name.endswith("1") else self.A2).shape[0]
+            if getattr(self, name).shape != (n, n):
+                raise ValueError(f"{name} must be square of size {n}")
 
     @classmethod
     def from_pencils(cls, first: Pencil, second: Pencil) -> "TwoParameterProblem":
@@ -120,13 +116,14 @@ class StaircaseLog:
 
 def operator_determinants(problem: TwoParameterProblem) -> DeltaTriple:
     """Kronecker assembly of the three operator determinants."""
-    a1, b1, c1 = problem.A1, problem.B1, problem.C1
-    a2, b2, c2 = problem.A2, problem.B2, problem.C2
-    return DeltaTriple(
-        np.kron(b1, c2) - np.kron(c1, b2),
-        np.kron(c1, a2) - np.kron(a1, c2),
-        np.kron(a1, b2) - np.kron(b1, a2),
-    )
+    first = (problem.A1, problem.B1, problem.C1)
+    second = (problem.A2, problem.B2, problem.C2)
+    n = problem.A1.shape[0] * problem.A2.shape[0]
+
+    def kron(i, j):  # np.kron(first[i], second[j]), without its overhead
+        return (first[i][:, None, :, None] * second[j][None, :, None, :]).reshape(n, n)
+
+    return DeltaTriple(kron(1, 2) - kron(2, 1), kron(2, 0) - kron(0, 2), kron(0, 1) - kron(1, 0))
 
 
 def _default_rank_tol(shape) -> float:
@@ -225,15 +222,18 @@ def solve_regular(
             current = [nxt]
     clusters.append(current)
 
+    # y of every singleton at once: the quotient of delta2 w against delta0 w
+    single = [cluster[0] for cluster in clusters if len(cluster) == 1]
+    w = vecs[:, single]
+    d0w = (deltas.delta0 @ w).conj()
+    single_y = np.zeros(m, dtype=complex)
+    single_y[single] = (d0w * (deltas.delta2 @ w)).sum(0) / (d0w * d0w.conj()).sum(0)
     solutions = []
     for cluster in clusters:
         size = len(cluster)
         if size == 1:
             idx = cluster[0]
-            w = vecs[:, idx]
-            d0w = deltas.delta0 @ w
-            y = np.vdot(d0w, deltas.delta2 @ w) / np.vdot(d0w, d0w)
-            solutions.append(EigenSolution(complex(xs[idx]), complex(y), w))
+            solutions.append(EigenSolution(complex(xs[idx]), complex(single_y[idx]), vecs[:, idx]))
             continue
         # eigenvectors of nearly coincident eigenvalues can come back almost
         # parallel; the small right singular vectors of delta1 - x delta0

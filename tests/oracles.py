@@ -29,6 +29,60 @@ def naive_eval(coeffs, x, y, dps=50):
         return complex(acc)
 
 
+def scalar_horner(coeffs, x, y):
+    """Nested Horner recurrences (y innermost) in Python complex arithmetic,
+    one point at a time."""
+    n = coeffs.shape[0] - 1
+    acc = 0.0 + 0.0j
+    for j in range(n, -1, -1):
+        inner = 0.0 + 0.0j
+        for k in range(n - j, -1, -1):
+            inner = inner * y + coeffs[j, k]
+        acc = acc * x + inner
+    return complex(acc)
+
+
+def _scalar_jacobian(pd, qd, x, y):
+    (px, py), (qx, qy) = pd, qd
+    return np.array(
+        [[scalar_horner(f.coeffs, x, y) for f in row] for row in ((px, py), (qx, qy))],
+        dtype=complex,
+    )
+
+
+def scalar_condition_and_accuracy(pd, qd, x, y, residual):
+    """The reference accuracy rule, one root at a time: the spectral norm of
+    the inverse Jacobian and the residual times it; both infinite when the
+    Jacobian is singular.  pd and qd are the partial derivatives of p and q."""
+    smin = np.linalg.svd(_scalar_jacobian(pd, qd, x, y), compute_uv=False)[-1]
+    if smin == 0.0:
+        return float("inf"), float("inf")
+    condition = 1.0 / smin
+    return condition, residual * condition
+
+
+def scalar_newton(p, q, pd, qd, x0, y0, steps):
+    """The reference Newton rules, one root at a time: a singular Jacobian
+    stops with refined=False, a residual at machine scale stops, otherwise
+    one 2x2 step."""
+    scale = max(p.coeff_norm(), q.coeff_norm(), 1.0)
+    x, y = complex(x0), complex(y0)
+    refined = True
+    for _ in range(steps):
+        fx = np.array([scalar_horner(p.coeffs, x, y), scalar_horner(q.coeffs, x, y)])
+        jac = _scalar_jacobian(pd, qd, x, y)
+        sv = np.linalg.svd(jac, compute_uv=False)
+        if sv[-1] <= 1e-14 * max(sv[0], 1.0):
+            refined = False
+            break
+        if np.abs(fx).max() <= 1e2 * np.finfo(float).eps * scale:
+            break
+        delta = np.linalg.solve(jac, fx)
+        x -= complex(delta[0])
+        y -= complex(delta[1])
+    return x, y, refined
+
+
 def naive_kron(a, b):
     a = np.asarray(a)
     b = np.asarray(b)

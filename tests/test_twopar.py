@@ -65,6 +65,20 @@ class TestOperatorDeterminants:
         assert np.allclose(deltas.delta1, want1)
         assert np.allclose(deltas.delta2, want2)
 
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_bitwise_equal_to_numpy_kron(self, complex_entries):
+        rng = np.random.default_rng(5)
+        for n1 in range(1, 6):
+            for n2 in range(1, 6):
+                a1, b1, c1, a2, b2, c2 = mats = [
+                    rng.uniform(-1, 1, (n, n)) + complex_entries * 1j * rng.uniform(-1, 1, (n, n))
+                    for n in (n1, n1, n1, n2, n2, n2)
+                ]
+                deltas = operator_determinants(TwoParameterProblem(*mats))
+                assert np.array_equal(deltas.delta0, np.kron(b1, c2) - np.kron(c1, b2))
+                assert np.array_equal(deltas.delta1, np.kron(c1, a2) - np.kron(a1, c2))
+                assert np.array_equal(deltas.delta2, np.kron(a1, b2) - np.kron(b1, a2))
+
     def test_dimension(self):
         rng = np.random.default_rng(2)
         prob = random_problem(rng, 3, 4)
@@ -124,6 +138,27 @@ class TestSolveRegular:
             [(1.0, 0.0, 1.0, 0.0), (1.0, 0.0, -1.0, 0.0), (-1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, -1.0)]
         )
         assert got == want
+
+    def test_singletons_after_a_cluster(self):
+        """Rows x = 0 and x - y - 3 = 0 against y = 1 and y = 2: the double
+        eigenvalue x = 0 sorts first, the singletons (4, 1) and (5, 2) follow."""
+        prob = TwoParameterProblem(
+            np.diag([0.0, -3.0]), np.eye(2), np.diag([0.0, -1.0]),
+            np.diag([-1.0, -2.0]), np.zeros((2, 2)), np.eye(2),
+        )
+        sols = solve_regular(operator_determinants(prob))
+        got = sorted((round(s.x.real, 9), round(s.y.real, 9)) for s in sols)
+        assert got == [(0.0, 1.0), (0.0, 2.0), (4.0, 1.0), (5.0, 2.0)]
+        assert max(abs(s.x.imag) + abs(s.y.imag) for s in sols) <= 1e-9
+
+    def test_singleton_y_is_the_quotient_against_delta0(self):
+        deltas = operator_determinants(random_problem(np.random.default_rng(6), 3, 4))
+        sols = solve_regular(deltas)
+        assert len(sols) == 12
+        for s in sols:
+            d0w = deltas.delta0 @ s.w
+            want = np.vdot(d0w, deltas.delta2 @ s.w) / np.vdot(d0w, d0w)
+            assert abs(s.y - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_singular_delta0_raises(self):
         deltas = DeltaTriple(np.zeros((2, 2)), np.eye(2), np.eye(2))
