@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .pencils import tree_pencil
 from .polynomials import BivariatePolynomial, MatrixBivariatePolynomial
 
 X_EDGE = "x"
@@ -161,13 +162,7 @@ def first_row_assignment(P, tree: MonomialTree, placement: str = "parent") -> di
 def assemble_pencil_from_monomial_tree(P, tree: MonomialTree, placement: str = "parent"):
     """Pencil (A, B, C) with det(A + xB + yC) equal to the polynomial
     (scalar case) or to det P(x, y) (matrix case)."""
-    from .pencils import Pencil
-
-    if isinstance(P, BivariatePolynomial):
-        block = 1
-    elif isinstance(P, MatrixBivariatePolynomial):
-        block = P.block_size
-    else:
+    if not isinstance(P, (BivariatePolynomial, MatrixBivariatePolynomial)):
         raise TypeError("expected a scalar or matrix bivariate polynomial")
     n = P.degree
     deepest = max(j + k for j, k in tree.nodes)
@@ -175,29 +170,12 @@ def assemble_pencil_from_monomial_tree(P, tree: MonomialTree, placement: str = "
         raise ValueError(
             f"tree reaches degree {deepest}, too deep for a degree-{n} polynomial"
         )
-    assignment = first_row_assignment(P, tree, placement=placement)
-
-    m = len(tree)
-    dim = m * block
-    eye = np.eye(block, dtype=complex)
-    A = np.zeros((dim, dim), dtype=complex)
-    B = np.zeros((dim, dim), dtype=complex)
-    C = np.zeros((dim, dim), dtype=complex)
-
-    def blk(mat, i, j):
-        return mat[i * block : (i + 1) * block, j * block : (j + 1) * block]
-
-    for i in range(1, m):
-        blk(A, i, i)[:] = eye
-        target = B if tree.edges[i] == X_EDGE else C
-        blk(target, i, tree.parents[i])[:] = -eye
-
-    for j, k, coeff in P.terms():
-        col, slot = assignment[(j, k)]
-        target = {"A": A, "B": B, "C": C}[slot]
-        blk(target, 0, col)[:] += coeff if block > 1 else coeff * eye
-
-    return Pencil(size=m, block_size=block, A=A, B=B, C=C)
+    block = getattr(P, "block_size", 1)
+    first_row = np.zeros((3, len(tree), block, block), dtype=complex)
+    for (j, k), (col, slot) in first_row_assignment(P, tree, placement).items():
+        first_row["ABC".index(slot), col] = P.coeffs[j, k]
+    edges = [(0, 1, 0) if var == X_EDGE else (0, 0, 1) for var in tree.edges[1:]]
+    return tree_pencil(tree.parents[1:], edges, first_row)
 
 
 # -- small trees for sparse polynomials ----------------------------------------

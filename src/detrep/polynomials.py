@@ -201,11 +201,6 @@ class AffineSubstitution:
         """x = x', y = u x' + y' + v."""
         return cls(np.array([[1.0, 0.0], [u, 1.0]]), np.array([0.0, v]))
 
-    @classmethod
-    def rotate_y(cls, gamma: complex) -> "AffineSubstitution":
-        """x = x', y = y' + gamma x' (used to repair a vanishing x^n term)."""
-        return cls.shear_y(gamma, 0.0)
-
     def inverse(self) -> "AffineSubstitution":
         e_inv = np.linalg.inv(self.linear)
         return AffineSubstitution(e_inv, -e_inv @ self.shift)

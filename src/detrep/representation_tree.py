@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pencils import Pencil
+from .pencils import Pencil, tree_pencil
 from .polynomials import (
     DEGREE_TRIM_REL,
     AffineSubstitution,
@@ -156,21 +156,9 @@ def representation_tree_size(n: int) -> int:
 
 def assemble_pencil_from_representation_tree(tree: RepresentationTree) -> Pencil:
     """det(A + xB + yC) equals the polynomial the tree represents."""
-    m = len(tree)
-    A = np.zeros((m, m), dtype=complex)
-    B = np.zeros((m, m), dtype=complex)
-    C = np.zeros((m, m), dtype=complex)
-    for i, f in enumerate(tree.coeffs):
-        A[0, i] += f.a
-        B[0, i] += f.b
-        C[0, i] += f.c
-    for i in range(1, m):
-        A[i, i] = 1.0
-        p, e = tree.parents[i], tree.edges[i]
-        A[i, p] -= e.a
-        B[i, p] -= e.b
-        C[i, p] -= e.c
-    return Pencil(size=m, block_size=1, A=A, B=B, C=C)
+    edges = [(e.a, e.b, e.c) for e in tree.edges[1:]]
+    first_row = np.array([(f.a, f.b, f.c) for f in tree.coeffs], dtype=complex).T
+    return tree_pencil(tree.parents[1:], edges, first_row.reshape(3, -1, 1, 1))
 
 
 # -- construction ----------------------------------------------------------------
@@ -211,7 +199,7 @@ def _rotate_leading_x(p: BivariatePolynomial):
     if abs(_coeff_at(p, p.degree, 0)) > DEGREE_TRIM_REL * p.coeff_norm():
         return p, ()
     gamma = _pick_rotation(p)
-    rot = AffineSubstitution.rotate_y(gamma)
+    rot = AffineSubstitution.shear_y(gamma, 0.0)
     return p.substitute(rot), (SubstitutionStep("rotate_y", rot, {"gamma": gamma}),)
 
 

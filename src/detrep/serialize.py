@@ -46,25 +46,14 @@ def _matrix_from_json(rows) -> np.ndarray:
 
 def polynomial_to_json(p) -> dict:
     if isinstance(p, BivariatePolynomial):
-        n = p.degree
-        return {
-            "degree": n,
-            "coeffs": [
-                [_scalar_to_json(p.coeffs[j, k]) for k in range(n + 1 - j)]
-                for j in range(n + 1)
-            ],
-        }
-    if isinstance(p, MatrixBivariatePolynomial):
-        n = p.degree
-        return {
-            "degree": n,
-            "block_size": p.block_size,
-            "coeffs": [
-                [_matrix_to_json(p.coeffs[j, k]) for k in range(n + 1 - j)]
-                for j in range(n + 1)
-            ],
-        }
-    raise TypeError(f"cannot serialize {type(p).__name__}")
+        head, entry = {}, _scalar_to_json
+    elif isinstance(p, MatrixBivariatePolynomial):
+        head, entry = {"block_size": p.block_size}, _matrix_to_json
+    else:
+        raise TypeError(f"cannot serialize {type(p).__name__}")
+    n = p.degree
+    rows = [[entry(p.coeffs[j, k]) for k in range(n + 1 - j)] for j in range(n + 1)]
+    return {"degree": n, **head, "coeffs": rows}
 
 
 def polynomial_from_json(obj: dict):
@@ -72,18 +61,16 @@ def polynomial_from_json(obj: dict):
     rows = obj["coeffs"]
     if len(rows) != n + 1:
         raise ValueError(f"expected {n + 1} coefficient rows, got {len(rows)}")
-    if "block_size" in obj:
-        k = int(obj["block_size"])
-        table = np.zeros((n + 1, n + 1, k, k), dtype=complex)
-        for j, row in enumerate(rows):
-            if len(row) != n + 1 - j:
-                raise ValueError(f"row {j} must have {n + 1 - j} entries")
-            for kk, blk in enumerate(row):
-                table[j, kk] = _matrix_from_json(blk)
-        return MatrixBivariatePolynomial(table)
-    return BivariatePolynomial.from_rows(
-        [[_scalar_from_json(z) for z in row] for row in rows]
-    )
+    matrix = "block_size" in obj
+    entry = _matrix_from_json if matrix else _scalar_from_json
+    block = (int(obj["block_size"]),) * 2 if matrix else ()
+    table = np.zeros((n + 1, n + 1) + block, dtype=complex)
+    for j, row in enumerate(rows):
+        if len(row) != n + 1 - j:
+            raise ValueError(f"row {j} must have {n + 1 - j} entries")
+        for k, z in enumerate(row):
+            table[j, k] = entry(z)
+    return MatrixBivariatePolynomial(table) if matrix else BivariatePolynomial(table)
 
 
 # -- pencils ----------------------------------------------------------------------

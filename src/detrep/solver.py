@@ -100,12 +100,14 @@ def _stack_tables(p: BivariatePolynomial, q: BivariatePolynomial) -> np.ndarray:
 def _evaluate(tables, x, y):
     """At k points: (p, q) as a (k, 2) array, their moduli (the hypot of
     Python's abs), the (k, 2, 2) Jacobians and their singular values,
-    largest first; a Jacobian that overflowed counts as exactly singular."""
+    largest first, with σmin set to 0 where the Jacobian is singular: where
+    it overflowed or where σmin ≤ 1e-14·max(σmax, 1)."""
     vals = evaluate_tables(tables, x, y)
     fx, jac = vals[:2].T, vals[2:].T.reshape(-1, 2, 2)
     finite = np.isfinite(jac).all(axis=(1, 2))
     sv = np.zeros(jac.shape[:2])
     sv[finite] = np.linalg.svd(jac[finite], compute_uv=False)
+    sv[sv[:, 1] <= 1e-14 * np.maximum(sv[:, 0], 1.0), 1] = 0.0
     return fx, np.hypot(fx.real, fx.imag), jac, sv
 
 
@@ -132,7 +134,7 @@ def _polish(tables, scale, x, y, steps):
             break
         fx, absf, jac, sv = _evaluate(tables, x[live], y[live])
         # likely a multiple root; Newton cannot certify progress here
-        singular = sv[:, 1] <= 1e-14 * np.maximum(sv[:, 0], 1.0)
+        singular = sv[:, 1] == 0
         refined[live[singular]] = False
         step = ~singular & ~(absf.max(axis=1) <= 1e2 * np.finfo(float).eps * scale)
         delta = np.linalg.solve(jac[step], fx[step, :, None])[..., 0]

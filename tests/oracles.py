@@ -53,9 +53,10 @@ def _scalar_jacobian(pd, qd, x, y):
 def scalar_condition_and_accuracy(pd, qd, x, y, residual):
     """The reference accuracy rule, one root at a time: the spectral norm of
     the inverse Jacobian and the residual times it; both infinite when the
-    Jacobian is singular.  pd and qd are the partial derivatives of p and q."""
-    smin = np.linalg.svd(_scalar_jacobian(pd, qd, x, y), compute_uv=False)[-1]
-    if smin == 0.0:
+    Jacobian is singular (by Newton's test, smin <= 1e-14 * max(smax, 1)).
+    pd and qd are the partial derivatives of p and q."""
+    smax, smin = np.linalg.svd(_scalar_jacobian(pd, qd, x, y), compute_uv=False)
+    if smin <= 1e-14 * max(smax, 1.0):
         return float("inf"), float("inf")
     condition = 1.0 / smin
     return condition, residual * condition

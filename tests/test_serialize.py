@@ -53,6 +53,23 @@ class TestPolynomialFormat:
         assert back.block_size == 2
         assert np.array_equal(back.coeffs, P.coeffs)
 
+    def test_matrix_bytes_are_pinned(self):
+        # key order degree, block_size, coeffs; every entry an [re, im] pair
+        P = MatrixBivariatePolynomial.from_blocks(
+            {
+                (0, 0): [[1.0, 0.5j], [-2.0, 0.0]],
+                (1, 0): [[0.25, 0.0], [0.0, 1.0 - 1.0j]],
+                (0, 1): [[0.0, 3.0], [1.5, -0.5]],
+            },
+            2,
+        )
+        assert json.dumps(serialize.polynomial_to_json(P)) == (
+            '{"degree": 1, "block_size": 2, "coeffs": '
+            "[[[[[1.0, 0.0], [0.0, 0.5]], [[-2.0, 0.0], [0.0, 0.0]]], "
+            "[[[0.0, 0.0], [3.0, 0.0]], [[1.5, 0.0], [-0.5, 0.0]]]], "
+            "[[[[0.25, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, -1.0]]]]]}"
+        )
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             serialize.polynomial_from_json({"degree": 2, "coeffs": [[1, 2, 3], [4], [5]]})

@@ -114,6 +114,14 @@ class TestAccuracyMeasure:
         q = BivariatePolynomial.from_terms({(0, 2): 1.0})
         assert accuracy_measure(p, q, 0.0, 0.0) == float("inf")
 
+    def test_rank_one_jacobian_is_infinite(self):
+        # LAPACK returns about 1e-16, not 0, for the smallest singular value
+        # of this rank-one Jacobian; Newton's test calls it singular, and so
+        # must the accuracy rule
+        p = BivariatePolynomial.from_terms({(2, 0): 1.0, (0, 2): 1.0})
+        q = BivariatePolynomial.from_terms({(1, 0): 3 + 1j, (0, 1): 2 - 2j})
+        assert accuracy_measure(p, q, 0, 0) == float("inf")
+
 
 class TestSolveSystem:
     def test_single_linear_root(self):
