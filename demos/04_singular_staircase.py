@@ -12,7 +12,6 @@ import numpy as np
 
 from detrep import (
     BivariatePolynomial,
-    TwoParameterProblem,
     assemble_pencil_from_monomial_tree,
     extract_regular_part,
     generic_tree,
@@ -33,16 +32,15 @@ def random_cubic():
 
 p, q = random_cubic(), random_cubic()
 tree = generic_tree(3)
-problem = TwoParameterProblem.from_pencils(
-    assemble_pencil_from_monomial_tree(p, tree),
-    assemble_pencil_from_monomial_tree(q, tree),
-)
+pencil_p = assemble_pencil_from_monomial_tree(p, tree)
+pencil_q = assemble_pencil_from_monomial_tree(q, tree)
 
 ##############################################################################
-# The pencils are 5 x 5 for a degree-3 polynomial, so the deltas are 25 x 25
-# while the system has only 9 roots: delta0 must be singular.
+# The two pencils are the whole two-parameter problem.  They are 5 x 5 for a
+# degree-3 polynomial, so the deltas are 25 x 25 while the system has only
+# 9 roots: delta0 must be singular.
 
-deltas = operator_determinants(problem)
+deltas = operator_determinants(pencil_p, pencil_q)
 sv = np.linalg.svd(deltas.delta0, compute_uv=False)
 print(f"delta matrices: {deltas.shape[0]} x {deltas.shape[1]}")
 print(f"singular values of delta0 range {sv[0]:.2e} .. {sv[-1]:.2e}")

@@ -57,7 +57,6 @@ from .twopar import (
     EigenSolution,
     SingularDeltaError,
     StaircaseError,
-    TwoParameterProblem,
     extract_regular_part,
     operator_determinants,
     solve_regular,
@@ -83,7 +82,6 @@ __all__ = [
     "SingularDeltaError",
     "SolveOptions",
     "StaircaseError",
-    "TwoParameterProblem",
     "accuracy_measure",
     "assemble_pencil_from_monomial_tree",
     "assemble_pencil_from_representation_tree",

@@ -209,13 +209,6 @@ def _prune_generic(P) -> set:
     return {tree.nodes[i] for i in used}
 
 
-def _popcount(values: np.ndarray) -> np.ndarray:
-    """Number of set bits of each uint32 value, through a 16-bit table."""
-    bits = np.unpackbits(np.arange(1 << 16, dtype=np.uint16).view(np.uint8))
-    table = bits.reshape(-1, 16).sum(axis=1, dtype=np.uint8)
-    return table[values & np.uint32(0xFFFF)] + table[values >> np.uint32(16)]
-
-
 def _exact_min_node_set(P) -> set:
     """Smallest covering node set by vectorized subset enumeration.
 
@@ -257,7 +250,7 @@ def _exact_min_node_set(P) -> set:
             continue
         valid &= (subsets & mask) != 0
 
-    popcount = _popcount(subsets).astype(np.int64)
+    popcount = np.bitwise_count(subsets).astype(np.int64)
     popcount[~valid] = 1 << 30
     best = int(np.argmin(popcount))
     return {(0, 0)} | {nd for nd in non_root if best & bit[nd]}

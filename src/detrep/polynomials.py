@@ -88,18 +88,6 @@ class BivariatePolynomial:
         return cls(np.zeros((1, 1)))
 
     @classmethod
-    def from_rows(cls, rows) -> "BivariatePolynomial":
-        """Build from a triangular list of rows; row j holds the
-        coefficients of x^j y^k for k = 0..n-j."""
-        n = len(rows) - 1
-        table = np.zeros((n + 1, n + 1), dtype=complex)
-        for j, row in enumerate(rows):
-            if len(row) != n + 1 - j:
-                raise ValueError(f"row {j} must have {n + 1 - j} entries")
-            table[j, : n + 1 - j] = row
-        return cls(table)
-
-    @classmethod
     def from_terms(cls, terms: dict) -> "BivariatePolynomial":
         """Build from a {(j, k): coefficient} mapping."""
         if not terms:

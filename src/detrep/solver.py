@@ -181,8 +181,7 @@ def _solve_once(p, q, opts: SolveOptions, diagnostics: SolveDiagnostics):
     # a failed attempt's deltas and staircase are not the solve's
     diagnostics.deltas, diagnostics.staircase_steps = None, []
     pencils = (linearize_polynomial(f, opts.linearization) for f in (p, q))
-    problem = twopar.TwoParameterProblem.from_pencils(*pencils)
-    result = twopar.solve_full(problem, cluster_tol=opts.cluster_tol, rank_tol=opts.rank_tol)
+    result = twopar.solve_full(*pencils, cluster_tol=opts.cluster_tol, rank_tol=opts.rank_tol)
     diagnostics.deltas = result.deltas
     diagnostics.delta_size = result.deltas.shape[0]
     diagnostics.reduced_size = result.reduced.shape[0]

@@ -49,29 +49,6 @@ class StaircaseError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TwoParameterProblem:
-    A1: np.ndarray
-    B1: np.ndarray
-    C1: np.ndarray
-    A2: np.ndarray
-    B2: np.ndarray
-    C2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("A1", "B1", "C1", "A2", "B2", "C2"):
-            mat = np.asarray(getattr(self, name), dtype=complex)
-            object.__setattr__(self, name, mat)
-        for name in ("A1", "B1", "C1", "A2", "B2", "C2"):
-            n = (self.A1 if name.endswith("1") else self.A2).shape[0]
-            if getattr(self, name).shape != (n, n):
-                raise ValueError(f"{name} must be square of size {n}")
-
-    @classmethod
-    def from_pencils(cls, first: Pencil, second: Pencil) -> "TwoParameterProblem":
-        return cls(first.A, first.B, first.C, second.A, second.B, second.C)
-
-
-@dataclass(frozen=True)
 class DeltaTriple:
     delta0: np.ndarray
     delta1: np.ndarray
@@ -114,14 +91,13 @@ class StaircaseLog:
     warnings: list[str] = field(default_factory=list)
 
 
-def operator_determinants(problem: TwoParameterProblem) -> DeltaTriple:
-    """Kronecker assembly of the three operator determinants."""
-    first = (problem.A1, problem.B1, problem.C1)
-    second = (problem.A2, problem.B2, problem.C2)
-    n = problem.A1.shape[0] * problem.A2.shape[0]
+def operator_determinants(first: Pencil, second: Pencil) -> DeltaTriple:
+    """Kronecker assembly of the three operator determinants of two pencils."""
+    n = first.dim * second.dim
+    mats1, mats2 = (first.A, first.B, first.C), (second.A, second.B, second.C)
 
-    def kron(i, j):  # np.kron(first[i], second[j]), without its overhead
-        return (first[i][:, None, :, None] * second[j][None, :, None, :]).reshape(n, n)
+    def kron(i, j):  # np.kron(mats1[i], mats2[j]), without its overhead
+        return (mats1[i][:, None, :, None] * mats2[j][None, :, None, :]).reshape(n, n)
 
     return DeltaTriple(kron(1, 2) - kron(2, 1), kron(2, 0) - kron(0, 2), kron(0, 1) - kron(1, 0))
 
@@ -340,13 +316,14 @@ class TwoParameterResult:
 
 
 def solve_full(
-    problem: TwoParameterProblem,
+    first: Pencil,
+    second: Pencil,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     rank_tol: float | None = None,
 ) -> TwoParameterResult:
     """operator determinants -> rank test -> regular solve, with the
     staircase extraction in between when delta0 is singular."""
-    deltas = operator_determinants(problem)
+    deltas = operator_determinants(first, second)
     try:
         solutions = solve_regular(deltas, cluster_tol=cluster_tol, rank_tol=rank_tol)
         return TwoParameterResult(solutions, deltas, deltas, None)

@@ -14,7 +14,6 @@ from detrep import (
     RepresentationTree,
     LinearForm,
     SolveOptions,
-    TwoParameterProblem,
     assemble_pencil_from_monomial_tree,
     assemble_pencil_from_representation_tree,
     extract_regular_part,
@@ -225,7 +224,7 @@ def test_criterion_5_power_sum_system():
     pen_p = linearize_polynomial(p, "lin2")
     pen_q = linearize_polynomial(q, "lin2")
     ok = pen_p.size == 9 and pen_q.size == 10
-    deltas = operator_determinants(TwoParameterProblem.from_pencils(pen_p, pen_q))
+    deltas = operator_determinants(pen_p, pen_q)
     ok &= deltas.shape == (90, 90)
     ok &= is_delta0_nonsingular(deltas)
     sols = solve_regular(deltas)
@@ -244,10 +243,9 @@ def test_criterion_6_singular_path():
     for trial in range(10):
         p = random_poly(rng, 3)
         q = random_poly(rng, 3)
-        prob = TwoParameterProblem.from_pencils(
+        deltas = operator_determinants(
             linearize_polynomial(p, "lin1"), linearize_polynomial(q, "lin1")
         )
-        deltas = operator_determinants(prob)
         ok &= deltas.shape == (25, 25)
         ok &= not is_delta0_nonsingular(deltas)
         reduced, _ = extract_regular_part(deltas)

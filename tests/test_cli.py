@@ -138,11 +138,10 @@ class TestSolve:
         assert code == 2  # the failed first orientation leaves a warning
         assert len(json.loads(out.read_text())) == 16
         dumped = json.loads(deltas.read_text())
-        swapped = twopar.TwoParameterProblem.from_pencils(
-            linearize_polynomial(BivariatePolynomial(p.coeffs.T), "lin1"),
-            linearize_polynomial(BivariatePolynomial(q.coeffs.T), "lin1"),
+        swapped = (
+            linearize_polynomial(BivariatePolynomial(f.coeffs.T), "lin1") for f in (p, q)
         )
-        expected = twopar.operator_determinants(swapped).delta0
+        expected = twopar.operator_determinants(*swapped).delta0
         assert np.array_equal(serialize._matrix_from_json(dumped["delta0"]), expected)
         assert dumped["swapped"] is True
         assert dumped["staircase"][0]["shape"] == [64, 64]

@@ -16,7 +16,12 @@ from detrep import (
     sparse_tree_heuristic,
 )
 
-from detrep.monomial_tree import _constrained_terms, _covers, _popcount, _prune_generic
+from detrep.monomial_tree import (
+    _constrained_terms,
+    _covers,
+    _exact_min_node_set,
+    _prune_generic,
+)
 from oracles import min_covering_tree_size
 from test_polynomials import CUBIC, random_polynomial
 
@@ -294,12 +299,21 @@ class TestSparseTree:
         tree = sparse_tree_heuristic(p)
         assert set(tree.nodes) == set(generic_tree(n).nodes)
 
-    def test_popcount_counts_set_bits(self):
-        values = np.concatenate([
-            np.arange(0, 1 << 20, 37, dtype=np.uint32),
-            np.array([0xFFFF, 0x10000, 0xFFFFF, 0xFFFFFFFF], dtype=np.uint32),
-        ])
-        assert _popcount(values).tolist() == [bin(int(v)).count("1") for v in values]
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_search_size_against_enumeration(self, seed):
+        """The bit-mask search finds a covering tree as small as the
+        brute-force subset search does."""
+        rng = np.random.default_rng(60 + seed)
+        n = 3 + seed % 2
+        all_terms = [(j, k) for j in range(n + 1) for k in range(n + 1 - j)]
+        count = int(rng.integers(2, 7))
+        chosen = [all_terms[i] for i in rng.choice(len(all_terms), size=count, replace=False)]
+        top = [(j, k) for j, k in all_terms if j + k == n]
+        chosen.append(top[rng.integers(len(top))])
+        p = BivariatePolynomial.from_terms({t: rng.uniform(0.5, 1.5) for t in chosen})
+        nodes = _exact_min_node_set(p)
+        assert _covers(nodes, _constrained_terms(p))
+        assert len(nodes) == min_covering_tree_size(chosen, p.degree)
 
     def test_two_chain_polynomial(self):
         p = BivariatePolynomial.from_terms({(9, 0): 1, (0, 9): 1, (0, 0): -1})

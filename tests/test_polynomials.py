@@ -11,6 +11,7 @@ from detrep import (
     partial_derivatives,
     univariate_roots,
 )
+from detrep import serialize
 from detrep.polynomials import DEGREE_TRIM_REL, _trim_table
 
 from oracles import central_difference, naive_eval
@@ -232,8 +233,10 @@ class TestTableHygiene:
         assert p.is_zero and p.degree == 0
 
     def test_from_rows_shape_checked(self):
-        with pytest.raises(ValueError):
-            BivariatePolynomial.from_rows([[1.0, 2.0], [3.0, 4.0]])
+        """A polynomial read from triangular rows: row j of a degree-n table
+        holds the n + 1 - j coefficients of x^j y^k."""
+        with pytest.raises(ValueError, match="row 1 must have 1 entries"):
+            serialize.polynomial_from_json({"degree": 1, "coeffs": [[1.0, 2.0], [3.0, 4.0]]})
 
 
 # -- properties of the coefficient-table arithmetic ----------------------------

@@ -9,7 +9,7 @@ from detrep import (
     newton_refine,
     solve_system,
 )
-from detrep import solver
+from detrep import serialize, solver
 from detrep.solver import SolveDiagnostics
 
 from oracles import resultant_roots, smallest_singular_value_2x2
@@ -38,7 +38,9 @@ RETRY_Q = [
 
 
 def retry_system():
-    return BivariatePolynomial.from_rows(RETRY_P), BivariatePolynomial.from_rows(RETRY_Q)
+    return tuple(
+        serialize.polynomial_from_json({"degree": 4, "coeffs": rows}) for rows in (RETRY_P, RETRY_Q)
+    )
 
 
 def match_pairwise(records, reference, tol):

@@ -18,14 +18,25 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 EXACT_COUNTS = {
-    # lin1 conics: a 2-step staircase from the 9 x 9 deltas to the 4 roots
+    # lin1 conics: a 2-step staircase from the 9 x 9 deltas to the 4 roots;
+    # dense input, so the sparse tree is the generic one
     "quadric-lin1": {
         "twopar.staircase_steps": 2.0,
         "twopar.rank_test_calls": 2.0,
         "twopar.reduced_dim": 4.0,
+        "pencils.size.generic": 3.0,
+        "pencils.size.sparse": 3.0,
+        "pencils.size.representation": 2.0,
     },
-    # lin2 cubics: the regular path, one rank test and no staircase
-    "cubic-auto": {"twopar.staircase_steps": 0.0, "twopar.rank_test_calls": 1.0},
+    # lin2 cubics: the regular path, one rank test and no staircase; the
+    # size-3 special representation tree
+    "cubic-auto": {
+        "twopar.staircase_steps": 0.0,
+        "twopar.rank_test_calls": 1.0,
+        "pencils.size.generic": 5.0,
+        "pencils.size.sparse": 5.0,
+        "pencils.size.representation": 3.0,
+    },
 }
 
 

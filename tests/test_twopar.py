@@ -7,8 +7,9 @@ from scipy.optimize import linear_sum_assignment
 
 from detrep import (
     DeltaTriple,
+    MatrixBivariatePolynomial,
+    Pencil,
     SingularDeltaError,
-    TwoParameterProblem,
     assemble_pencil_from_monomial_tree,
     extract_regular_part,
     generic_tree,
@@ -22,45 +23,47 @@ from oracles import naive_kron, resultant_roots
 from test_polynomials import random_polynomial
 
 
+def pencil_pair(a1, b1, c1, a2, b2, c2):
+    """The two scalar pencils A1 + x B1 + y C1 and A2 + x B2 + y C2."""
+    return Pencil(len(a1), 1, a1, b1, c1), Pencil(len(a2), 1, a2, b2, c2)
+
+
 def random_problem(rng, n1=2, n2=2):
     def mat(n):
         return rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
 
-    return TwoParameterProblem(mat(n1), mat(n1), mat(n1), mat(n2), mat(n2), mat(n2))
+    return pencil_pair(mat(n1), mat(n1), mat(n1), mat(n2), mat(n2), mat(n2))
 
 
 def lin1_problem(p, q):
     tp = generic_tree(p.degree)
     tq = generic_tree(q.degree)
-    return TwoParameterProblem.from_pencils(
-        assemble_pencil_from_monomial_tree(p, tp),
-        assemble_pencil_from_monomial_tree(q, tq),
-    )
+    return assemble_pencil_from_monomial_tree(p, tp), assemble_pencil_from_monomial_tree(q, tq)
 
 
 class TestOperatorDeterminants:
     def test_scalar_case(self):
-        prob = TwoParameterProblem([[0.0]], [[1.0]], [[0.0]], [[0.0]], [[0.0]], [[1.0]])
-        deltas = operator_determinants(prob)
+        prob = pencil_pair([[0.0]], [[1.0]], [[0.0]], [[0.0]], [[0.0]], [[1.0]])
+        deltas = operator_determinants(*prob)
         assert deltas.delta0[0, 0] == 1.0
 
     def test_zero_a_matrices(self):
         rng = np.random.default_rng(0)
-        prob = TwoParameterProblem(
+        prob = pencil_pair(
             np.zeros((2, 2)), rng.uniform(-1, 1, (2, 2)), rng.uniform(-1, 1, (2, 2)),
             np.zeros((3, 3)), rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)),
         )
-        deltas = operator_determinants(prob)
+        deltas = operator_determinants(*prob)
         assert np.all(deltas.delta1 == 0)
         assert np.all(deltas.delta2 == 0)
 
     def test_against_index_loop_kronecker(self):
         rng = np.random.default_rng(1)
-        prob = random_problem(rng, 2, 3)
-        deltas = operator_determinants(prob)
-        want0 = naive_kron(prob.B1, prob.C2) - naive_kron(prob.C1, prob.B2)
-        want1 = naive_kron(prob.C1, prob.A2) - naive_kron(prob.A1, prob.C2)
-        want2 = naive_kron(prob.A1, prob.B2) - naive_kron(prob.B1, prob.A2)
+        first, second = random_problem(rng, 2, 3)
+        deltas = operator_determinants(first, second)
+        want0 = naive_kron(first.B, second.C) - naive_kron(first.C, second.B)
+        want1 = naive_kron(first.C, second.A) - naive_kron(first.A, second.C)
+        want2 = naive_kron(first.A, second.B) - naive_kron(first.B, second.A)
         assert np.allclose(deltas.delta0, want0)
         assert np.allclose(deltas.delta1, want1)
         assert np.allclose(deltas.delta2, want2)
@@ -74,21 +77,40 @@ class TestOperatorDeterminants:
                     rng.uniform(-1, 1, (n, n)) + complex_entries * 1j * rng.uniform(-1, 1, (n, n))
                     for n in (n1, n1, n1, n2, n2, n2)
                 ]
-                deltas = operator_determinants(TwoParameterProblem(*mats))
+                deltas = operator_determinants(*pencil_pair(*mats))
                 assert np.array_equal(deltas.delta0, np.kron(b1, c2) - np.kron(c1, b2))
                 assert np.array_equal(deltas.delta1, np.kron(c1, a2) - np.kron(a1, c2))
                 assert np.array_equal(deltas.delta2, np.kron(a1, b2) - np.kron(b1, a2))
 
+    def test_block_pencils_use_the_matrix_dimension(self):
+        """Monomial-tree pencils of 2x2 matrix polynomials have `size` tree
+        nodes of 2x2 blocks, so N is the product of the `dim`s, not of the
+        `size`s."""
+        rng = np.random.default_rng(13)
+
+        def block_pencil(n):
+            blocks = {(j, k): rng.uniform(-1, 1, (2, 2)) for j in range(n + 1) for k in range(n + 1 - j)}
+            P = MatrixBivariatePolynomial.from_blocks(blocks, 2)
+            return assemble_pencil_from_monomial_tree(P, generic_tree(n))
+
+        first, second = block_pencil(2), block_pencil(3)
+        assert (first.size, first.dim, second.size, second.dim) == (3, 6, 5, 10)
+        deltas = operator_determinants(first, second)
+        assert deltas.shape == (60, 60)
+        assert np.array_equal(deltas.delta0, np.kron(first.B, second.C) - np.kron(first.C, second.B))
+        assert np.array_equal(deltas.delta1, np.kron(first.C, second.A) - np.kron(first.A, second.C))
+        assert np.array_equal(deltas.delta2, np.kron(first.A, second.B) - np.kron(first.B, second.A))
+
     def test_dimension(self):
         rng = np.random.default_rng(2)
         prob = random_problem(rng, 3, 4)
-        assert operator_determinants(prob).shape == (12, 12)
+        assert operator_determinants(*prob).shape == (12, 12)
 
 
 class TestSolveRegular:
     def test_decoupled_linear_system(self):
-        prob = TwoParameterProblem([[-1.0]], [[1.0]], [[0.0]], [[-2.0]], [[0.0]], [[1.0]])
-        sols = solve_full(prob).solutions
+        prob = pencil_pair([[-1.0]], [[1.0]], [[0.0]], [[-2.0]], [[0.0]], [[1.0]])
+        sols = solve_full(*prob).solutions
         assert len(sols) == 1
         assert sols[0].x == pytest.approx(1.0)
         assert sols[0].y == pytest.approx(2.0)
@@ -96,7 +118,7 @@ class TestSolveRegular:
     def test_eigenvalue_count_and_residuals(self):
         rng = np.random.default_rng(3)
         prob = random_problem(rng, 3, 3)
-        deltas = operator_determinants(prob)
+        deltas = operator_determinants(*prob)
         sols = solve_regular(deltas)
         assert len(sols) == 9
         for s in sols:
@@ -110,7 +132,7 @@ class TestSolveRegular:
         rng = np.random.default_rng(4)
         for _ in range(5):
             prob = random_problem(rng, 2, 3)
-            deltas = operator_determinants(prob)
+            deltas = operator_determinants(*prob)
             if not is_delta0_nonsingular(deltas):
                 continue
             inv = np.linalg.inv(deltas.delta0)
@@ -127,10 +149,8 @@ class TestSolveRegular:
         q = np.zeros((3, 3)); q[1, 0] = -1.0; q[0, 2] = 1.0
         from detrep import BivariatePolynomial
 
-        prob = TwoParameterProblem.from_pencils(
-            linearize(BivariatePolynomial(p)), linearize(BivariatePolynomial(q))
-        )
-        sols = solve_full(prob).solutions
+        result = solve_full(linearize(BivariatePolynomial(p)), linearize(BivariatePolynomial(q)))
+        sols = result.solutions
         got = sorted(
             [(round(s.x.real, 6), round(s.x.imag, 6), round(s.y.real, 6), round(s.y.imag, 6)) for s in sols]
         )
@@ -142,17 +162,17 @@ class TestSolveRegular:
     def test_singletons_after_a_cluster(self):
         """Rows x = 0 and x - y - 3 = 0 against y = 1 and y = 2: the double
         eigenvalue x = 0 sorts first, the singletons (4, 1) and (5, 2) follow."""
-        prob = TwoParameterProblem(
+        prob = pencil_pair(
             np.diag([0.0, -3.0]), np.eye(2), np.diag([0.0, -1.0]),
             np.diag([-1.0, -2.0]), np.zeros((2, 2)), np.eye(2),
         )
-        sols = solve_regular(operator_determinants(prob))
+        sols = solve_regular(operator_determinants(*prob))
         got = sorted((round(s.x.real, 9), round(s.y.real, 9)) for s in sols)
         assert got == [(0.0, 1.0), (0.0, 2.0), (4.0, 1.0), (5.0, 2.0)]
         assert max(abs(s.x.imag) + abs(s.y.imag) for s in sols) <= 1e-9
 
     def test_singleton_y_is_the_quotient_against_delta0(self):
-        deltas = operator_determinants(random_problem(np.random.default_rng(6), 3, 4))
+        deltas = operator_determinants(*random_problem(np.random.default_rng(6), 3, 4))
         sols = solve_regular(deltas)
         assert len(sols) == 12
         for s in sols:
@@ -170,7 +190,7 @@ class TestExtractRegularPart:
     def test_nonsingular_input_untouched(self):
         rng = np.random.default_rng(5)
         prob = random_problem(rng, 2, 2)
-        deltas = operator_determinants(prob)
+        deltas = operator_determinants(*prob)
         assert is_delta0_nonsingular(deltas)
         reduced, log = extract_regular_part(deltas)
         assert len(log.steps) == 0
@@ -180,7 +200,7 @@ class TestExtractRegularPart:
         rng = np.random.default_rng(6)
         p = random_polynomial(rng, 3)
         q = random_polynomial(rng, 3)
-        deltas = operator_determinants(lin1_problem(p, q))
+        deltas = operator_determinants(*lin1_problem(p, q))
         assert deltas.shape == (25, 25)
         assert not is_delta0_nonsingular(deltas)
         reduced, log = extract_regular_part(deltas)
@@ -196,8 +216,7 @@ class TestExtractRegularPart:
         rng = np.random.default_rng(7)
         p = random_polynomial(rng, 5)
         q = random_polynomial(rng, 5)
-        prob = TwoParameterProblem.from_pencils(linearize(p), linearize(q))
-        deltas = operator_determinants(prob)
+        deltas = operator_determinants(linearize(p), linearize(q))
         assert deltas.shape == (64, 64)
         reduced, _ = extract_regular_part(deltas)
         assert reduced.shape == (25, 25)
@@ -212,7 +231,7 @@ class TestExtractRegularPart:
         rng = np.random.default_rng(8)
         p = random_polynomial(rng, 4)
         q = random_polynomial(rng, 4)
-        deltas = operator_determinants(lin1_problem(p, q))
+        deltas = operator_determinants(*lin1_problem(p, q))
         reduced, log = extract_regular_part(deltas)
         for mat in (log.left, log.right):
             gram = mat.conj().T @ mat
@@ -227,11 +246,11 @@ class TestExtractRegularPart:
         rng = np.random.default_rng(9)
         p = random_polynomial(rng, 3)
         q = random_polynomial(rng, 3)
-        prob = lin1_problem(p, q)
-        result = solve_full(prob)
+        first, second = lin1_problem(p, q)
+        result = solve_full(first, second)
         for s in result.solutions:
-            d1 = abs(np.linalg.det(prob.A1 + s.x * prob.B1 + s.y * prob.C1))
-            d2 = abs(np.linalg.det(prob.A2 + s.x * prob.B2 + s.y * prob.C2))
+            d1 = abs(np.linalg.det(first(s.x, s.y)))
+            d2 = abs(np.linalg.det(second(s.x, s.y)))
             assert d1 <= 1e-7 and d2 <= 1e-7
 
     def test_ambiguous_gap_warning(self):
@@ -318,7 +337,7 @@ class TestSolveFull:
     def test_regular_path(self):
         rng = np.random.default_rng(11)
         prob = random_problem(rng, 2, 2)
-        result = solve_full(prob)
+        result = solve_full(*prob)
         assert result.staircase is None
         assert len(result.solutions) == 4
 
@@ -326,7 +345,7 @@ class TestSolveFull:
         rng = np.random.default_rng(12)
         p = random_polynomial(rng, 3)
         q = random_polynomial(rng, 3)
-        result = solve_full(lin1_problem(p, q))
+        result = solve_full(*lin1_problem(p, q))
         assert result.staircase is not None
         assert len(result.staircase.steps) >= 1
         assert len(result.solutions) == 9
