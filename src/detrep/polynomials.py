@@ -147,17 +147,7 @@ class BivariatePolynomial:
 
     def substitute(self, sub: "AffineSubstitution") -> "BivariatePolynomial":
         """Coefficients of p(E (x', y') + t) via bivariate Horner on tables."""
-        e, t = sub.linear, sub.shift
-        n = self.degree
-        # rows[j] accumulates sum_k c[j, k] y^k in the new variables, all j at once
-        rows = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
-        for k in range(n, -1, -1):
-            rows = times_linear(rows, t[1], e[1, 0], e[1, 1])
-            rows[:, 0, 0] += self.coeffs[:, k]
-        acc = np.zeros((n + 1, n + 1), dtype=complex)
-        for j in range(n, -1, -1):
-            acc = times_linear(acc, t[0], e[0, 0], e[0, 1]) + rows[j]
-        return BivariatePolynomial(acc)
+        return BivariatePolynomial(substitute_table(self.coeffs, sub))
 
 
 @dataclass(frozen=True)
@@ -257,6 +247,27 @@ class MatrixBivariatePolynomial:
 
 
 # -- module-level operation surface ------------------------------------------
+
+
+def substitute_table(
+    c: np.ndarray, sub: AffineSubstitution, rows: int | None = None, cols: int | None = None
+) -> np.ndarray:
+    """Leading `rows` x `cols` block (all of it by default) of the untrimmed
+    table of p(E (x', y') + t), for the square table c of p.  The first r
+    rows (columns) of a `times_linear` product depend only on the first r
+    rows (columns) of its factor, so the Horner run on the block alone
+    rounds exactly like the full one."""
+    e, t = sub.linear, sub.shift
+    n = c.shape[0] - 1
+    # part[j] accumulates sum_k c[j, k] y^k in the new variables, all j at once
+    part = np.zeros((n + 1, n + 1, n + 1), dtype=complex)[:, :rows, :cols]
+    for k in range(n, -1, -1):
+        part = times_linear(part, t[1], e[1, 0], e[1, 1])
+        part[:, 0, 0] += c[:, k]
+    acc = np.zeros((n + 1, n + 1), dtype=complex)[:rows, :cols]
+    for j in range(n, -1, -1):
+        acc = times_linear(acc, t[0], e[0, 0], e[0, 1]) + part[j]
+    return acc
 
 
 def univariate_roots(coeffs) -> np.ndarray:

@@ -23,6 +23,7 @@ from .polynomials import (
     BivariatePolynomial,
     DegenerateInputError,
     LeadingCoefficientError,
+    substitute_table,
     times_linear,
     univariate_roots,
 )
@@ -237,9 +238,11 @@ def _shear(p: BivariatePolynomial, along_y: bool):
     The blow-up of the substituted coefficients grows like
     max(1, |s|, |t|)**n, so the candidate minimizing that factor wins; a
     near-real candidate within a factor two of the best keeps real inputs
-    on real shifts.  One correction pass against the substituted polynomial
+    on real shifts.  One correction pass against the substituted table
     keeps the killed coefficient at the roundoff of a single substitution
-    even when the shift amplifies the coefficient scale.
+    even when the shift amplifies the coefficient scale; it reads that one
+    entry from a Horner run on row 0 (column 0 along y) of the table, so
+    the whole polynomial is substituted once.
     """
     n = p.degree
     c = p.coeffs.T if along_y else p.coeffs
@@ -253,9 +256,12 @@ def _shear(p: BivariatePolynomial, along_y: bool):
         return None
     dh = np.polyder(h[::-1])
     g = np.array([c[i, n - 1 - i] for i in range(n)])[::-1]
+    roots = _simple_roots(univariate_roots(h))
+    # polyval at all roots at once rounds like one call per root
+    at = np.array(roots, dtype=complex)
+    slopes, offsets = np.polyval(dh, at).tolist(), np.polyval(g, at).tolist()
     candidates = []
-    for s in _simple_roots(univariate_roots(h)):
-        slope, offset = complex(np.polyval(dh, s)), complex(np.polyval(g, s))
+    for s, slope, offset in zip(roots, slopes, offsets):
         if abs(slope) > 1e-13 * norm:
             t = -offset / slope
         elif abs(offset) <= VANISH_TOL * norm:
@@ -275,13 +281,15 @@ def _shear(p: BivariatePolynomial, along_y: bool):
         candidates[0],
     )
     kind, names = ("shear_y", ("u", "v")) if along_y else ("shear_x", ("s", "t"))
-    make = getattr(AffineSubstitution, kind)
-    sheared = p.substitute(make(s, t))
+    sub = getattr(AffineSubstitution, kind)(s, t)
     if abs(slope) > 1e-13 * norm:
-        j, k = (n - 1, 0) if along_y else (0, n - 1)
-        t = t - _coeff_at(sheared, j, k) / slope
-        sheared = p.substitute(make(s, t))
-    return sheared, SubstitutionStep(kind, make(s, t), dict(zip(names, (s, t))))
+        if along_y:
+            entry = substitute_table(p.coeffs, sub, cols=1)[n - 1, 0]
+        else:
+            entry = substitute_table(p.coeffs, sub, rows=1)[0, n - 1]
+        t = t - complex(entry) / slope
+        sub.shift[1 if along_y else 0] = t  # the substitution's own fresh array
+    return p.substitute(sub), SubstitutionStep(kind, sub, dict(zip(names, (s, t))))
 
 
 def _main_branch_tree(p: BivariatePolynomial, allow_special: bool) -> RepresentationTree:

@@ -203,7 +203,10 @@ def _solve_once(p, q, opts: SolveOptions, diagnostics: SolveDiagnostics):
     magnitude = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))[:, None]
     bound = opts.residual_accept * scale * magnitude ** [p.degree, q.degree]
     keep = np.isfinite(residual) & ~(absf > bound).any(axis=1)
-    diagnostics.rejected += xs.size - int(keep.sum())  # the non-finite ones too
+    rejected = xs.size - int(keep.sum())  # the non-finite ones too
+    diagnostics.rejected += rejected
+    if rejected and keep.any():
+        diagnostics.warnings.append(f"{rejected} of {xs.size} candidates failed the residual filter")
     fields = (x, y, residual, condition, accuracy, refined)
     records = [RootRecord(*f) for f in zip(*(a[keep].tolist() for a in fields))]
     return _dedupe(records, opts.dedup_tol)
@@ -238,7 +241,8 @@ def solve_system(
                 records = [replace(r, x=r.y, y=r.x) for r in records]
             return sorted(records, key=lambda r: r.accuracy)
         diagnostics.warnings.append(
-            "no candidate passed the residual filter"
+            ("no candidate passed the residual filter" if diagnostics.candidates
+             else "empty regular part: no candidates")
             + (" (swapped variables)" if swapped else "")
         )
     raise DegenerateSystemError(

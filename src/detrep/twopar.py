@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zggev
 
 from .pencils import Pencil
 
@@ -156,6 +157,23 @@ def _decide_rank(sv: np.ndarray, cutoff: float, log: StaircaseLog, context: str)
     return rank, kept, dropped, ambiguous
 
 
+def _eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and unit-norm right eigenvectors of the complex pencil
+    (a, b), as scipy's generalized `eig` gives them, straight from LAPACK
+    ggev: alpha/beta, inf where only beta vanishes, nan where both do."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    # the queried workspace keeps ggev's blocked QR, and so its rounding,
+    # on the large blocks; the query itself costs a few microseconds
+    lwork = int(zggev(a, b, lwork=-1)[-2][0].real)
+    alpha, beta, _, vr, _, info = zggev(a, b, compute_vl=0, lwork=lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"generalized eigensolve (ggev) failed, info {info}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(beta != 0, alpha / beta, np.where(alpha != 0, np.inf, complex(np.nan, np.nan)))
+    return w, vr / np.linalg.norm(vr, axis=0)
+
+
 def is_delta0_nonsingular(deltas: DeltaTriple, rank_tol: float | None = None) -> bool:
     m, k = deltas.shape
     if m != k:
@@ -185,7 +203,7 @@ def solve_regular(
     m = deltas.shape[0]
     if m == 0:
         return []
-    xs, vecs = scipy.linalg.eig(deltas.delta1, deltas.delta0)
+    xs, vecs = _eig(deltas.delta1, deltas.delta0)
 
     order = np.lexsort((xs.imag, xs.real))
     clusters = []
@@ -222,7 +240,7 @@ def solve_regular(
         left = np.linalg.qr(deltas.delta0 @ basis)[0]
         g0 = left.conj().T @ deltas.delta0 @ basis
         g2 = left.conj().T @ deltas.delta2 @ basis
-        ys, small_vecs = scipy.linalg.eig(g2, g0)
+        ys, small_vecs = _eig(g2, g0)
         for i in range(size):
             w = basis @ small_vecs[:, i]
             norm = np.linalg.norm(w)
@@ -259,7 +277,7 @@ def extract_regular_part(
     # one absolute cutoff for every rank decision: unitary transforms and
     # submatrix selection never grow the entries, so the original spectral
     # norms anchor what "negligible" means throughout
-    scale = max((np.linalg.norm(mat, 2) if mat.size else 0.0) for mat in ds)
+    scale = np.linalg.svd(np.stack(ds), compute_uv=False)[:, 0].max() if ds[0].size else 0.0
     rel = rank_tol if rank_tol is not None else _default_rank_tol((m, k))
     cutoff = rel * max(scale, 1e-300)
 

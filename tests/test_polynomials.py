@@ -12,7 +12,7 @@ from detrep import (
     univariate_roots,
 )
 from detrep import serialize
-from detrep.polynomials import DEGREE_TRIM_REL, _trim_table
+from detrep.polynomials import DEGREE_TRIM_REL, _trim_table, substitute_table
 
 from oracles import central_difference, naive_eval
 
@@ -281,6 +281,34 @@ def test_substituted_table_is_zero_outside_the_triangle(p, sub):
     assert out.coeffs.shape == (n + 1, n + 1)
     band = np.add.outer(np.arange(n + 1), np.arange(n + 1))
     assert np.all(out.coeffs[band > n] == 0)
+
+
+wide = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    complex_polynomials(min_degree=2, max_degree=6),
+    st.builds(complex, wide, wide),
+    st.builds(complex, wide, wide),
+    st.booleans(),
+)
+def test_shear_window_rounds_like_the_full_substitution(p, s, t, along_y):
+    """The shear's correction entry, (0, n-1) after shear_x and (n-1, 0)
+    after shear_y, from a Horner run on row 0 (column 0) alone is bitwise
+    the entry of the full substitution, and so is the whole window."""
+    n = p.degree
+    if along_y:
+        sub = AffineSubstitution.shear_y(s, t)
+        window, (j, k) = substitute_table(p.coeffs, sub, cols=1), (n - 1, 0)
+    else:
+        sub = AffineSubstitution.shear_x(s, t)
+        window, (j, k) = substitute_table(p.coeffs, sub, rows=1), (0, n - 1)
+    full = p.substitute(sub)
+    assert full.degree == n
+    assert window[j, k] == full.coeffs[j, k]
+    rows, cols = window.shape
+    assert np.array_equal(window, substitute_table(p.coeffs, sub)[:rows, :cols])
 
 
 @settings(max_examples=60, deadline=None)

@@ -328,6 +328,25 @@ def test_dense_cubic_tree_builds_few_polynomial_objects(monkeypatch):
     assert len(built) <= 8
 
 
+@pytest.mark.parametrize("n,shears", [(3, 1), (4, 2)])
+def test_dense_tree_substitutes_once_per_shear(monkeypatch, n, shears):
+    """The shear's correction reads its one entry from a windowed Horner
+    run, so each shear substitutes the whole polynomial once."""
+    calls = []
+    substitute = BivariatePolynomial.substitute
+
+    def counting_substitute(self, sub):
+        calls.append(1)
+        return substitute(self, sub)
+
+    p = random_polynomial(np.random.default_rng(95), n)
+    monkeypatch.setattr(BivariatePolynomial, "substitute", counting_substitute)
+    tree = build_tree(p)
+    monkeypatch.undo()
+    assert [step.kind for step in tree.substitution_steps] == ["shear_x", "shear_y"][:shears]
+    assert len(calls) == shears
+
+
 class TestLinearize:
     @pytest.mark.parametrize(
         "n,size",

@@ -1,3 +1,7 @@
+import itertools
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,10 @@ from detrep.solver import SolveDiagnostics
 
 from oracles import resultant_roots, smallest_singular_value_2x2
 from test_polynomials import CUBIC, random_polynomial
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 # degree-4 system 294 (0-based) of the `detrep bench --seed 0` stream: p then
@@ -222,7 +230,7 @@ class TestSolveSystem:
         diag = SolveDiagnostics()
         records = solve_system(p, q, SolveOptions(linearization="lin1"), diag)
         assert diag.swapped
-        assert diag.warnings == ["no candidate passed the residual filter"]
+        assert diag.warnings == ["empty regular part: no candidates"]
         assert len(records) == 16
         assert sum(r.multiplicity for r in records) == 16
         scale = max(p.coeff_norm(), q.coeff_norm())
@@ -233,6 +241,18 @@ class TestSolveSystem:
         lin2 = solve_system(p, q, SolveOptions(linearization="lin2"), lin2_diag)
         assert not lin2_diag.swapped
         match_pairwise(records, [(r.x, r.y) for r in lin2], 1e-8)
+
+    def test_residual_filter_shortfall_is_reported(self):
+        """sparse-auto seed-0 system 29: the regular part has all 64
+        candidates, but one fails the residual filter (the shortfall itself
+        is the staircase's accuracy, ROADMAP item 1); the solve says so."""
+        stream = workloads.systems(workloads.WORKLOADS["sparse-auto"], 0)
+        p, q = (BivariatePolynomial(t) for t in next(itertools.islice(stream, 29, None)))
+        diag = SolveDiagnostics()
+        records = solve_system(p, q, SolveOptions(), diag)
+        assert (diag.candidates, diag.rejected, diag.swapped) == (64, 1, False)
+        assert sum(r.multiplicity for r in records) == 63
+        assert diag.warnings == ["1 of 64 candidates failed the residual filter"]
 
     @pytest.mark.parametrize("method", ["auto", "lin1"])
     def test_exact_singular_root_has_infinite_accuracy(self, method):

@@ -16,8 +16,10 @@ from detrep import (
     linearize,
     operator_determinants,
     solve_regular,
+    solve_system,
 )
-from detrep.twopar import StaircaseLog, _decide_rank, is_delta0_nonsingular, solve_full
+from detrep import twopar
+from detrep.twopar import StaircaseLog, _decide_rank, _eig, is_delta0_nonsingular, solve_full
 
 from oracles import naive_kron, resultant_roots
 from test_polynomials import random_polynomial
@@ -184,6 +186,64 @@ class TestSolveRegular:
         deltas = DeltaTriple(np.zeros((2, 2)), np.eye(2), np.eye(2))
         with pytest.raises(SingularDeltaError):
             solve_regular(deltas)
+
+
+class TestEig:
+    """The regular eigensolve's direct LAPACK ggev call against scipy's eig."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 16])
+    def test_matches_scipy_with_unit_vectors(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(3):
+            a, b = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+            w, v = _eig(a, b)
+            want = scipy.linalg.eig(a, b, right=False)
+            assert np.all(np.abs(w - want) <= 1e-13 * np.abs(want))
+            assert np.allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0.0, atol=1e-14)
+            residual = np.linalg.norm(a @ v - b @ v * w, axis=0)
+            scale = np.linalg.norm(a, 2) + np.abs(w) * np.linalg.norm(b, 2)
+            assert np.all(residual <= 1e-12 * scale)
+
+    def test_infinite_and_indeterminate_eigenvalues(self):
+        """beta = 0 with alpha != 0 is inf; alpha = beta = 0 is nan."""
+        w, _ = _eig(np.diag([1.0, 0.0]).astype(complex), np.zeros((2, 2), dtype=complex))
+        want = scipy.linalg.eig(np.diag([1.0, 0.0]), np.zeros((2, 2)), right=False)
+        assert np.array_equal(np.isinf(w), np.isinf(want)) and np.isinf(w).sum() == 1
+        assert np.array_equal(np.isnan(w), np.isnan(want)) and np.isnan(w).sum() == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad):
+        a = np.eye(3, dtype=complex)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _eig(a, np.eye(3, dtype=complex))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _eig(np.eye(3, dtype=complex), a)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def failing_ggev(a, b, **kwargs):
+            n = len(a)
+            return np.ones(n), np.ones(n), None, np.eye(n), np.full(1, 2.0 * n), 1
+
+        monkeypatch.setattr(twopar, "zggev", failing_ggev)
+        with pytest.raises(np.linalg.LinAlgError, match="info 1"):
+            _eig(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
+
+    def test_cubic_solve_leaves_scipy_eig_alone(self, monkeypatch):
+        calls = []
+        eig = scipy.linalg.eig
+
+        def counting_eig(*args, **kwargs):
+            calls.append(1)
+            return eig(*args, **kwargs)
+
+        rng = np.random.default_rng(41)
+        p, q = random_polynomial(rng, 3), random_polynomial(rng, 3)
+        monkeypatch.setattr(scipy.linalg, "eig", counting_eig)
+        records = solve_system(p, q)
+        monkeypatch.undo()
+        assert sum(r.multiplicity for r in records) == 9
+        assert calls == []
 
 
 class TestExtractRegularPart:
