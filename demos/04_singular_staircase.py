@@ -47,19 +47,26 @@ print(f"singular values of delta0 range {sv[0]:.2e} .. {sv[-1]:.2e}")
 print(f"numerical rank: {int(np.sum(sv > 1e-10 * sv[0]))}")
 
 ##############################################################################
-# Each compression step splits off the null directions of the current
-# delta0 block and keeps the rows that annihilate the matching columns of
-# delta1 and delta2.  The sizes shrink until a regular square block is left.
-# A block that keeps full column rank but has extra rows takes a "rows"
-# step instead: the same compression applied to the conjugate-transposed
-# triple, with the left and right bases swapped, since the bottom rows of
-# delta1 and delta2 are the trailing columns of their conjugate transposes.
+# Each compression step turns the current block by the right singular
+# vectors of its delta0, splits off delta0's null directions and keeps the
+# rows that annihilate the matching columns of delta1 and delta2 (the
+# slab).  delta0's left singular vectors are never applied: the slab's own
+# left singular vectors absorb any unitary on the left.  The sizes shrink
+# until a regular square block is left.  A block that keeps full column
+# rank but has extra rows takes a "rows" step instead: the same compression
+# applied to the conjugate-transposed triple, with the left and right bases
+# swapped, since the bottom rows of delta1 and delta2 are the trailing
+# columns of their conjugate transposes.  Each step records both rank
+# decisions, delta0's and the slab's, by the smallest singular value kept
+# and the largest dropped; the dropped ones are the noise the staircase
+# has made so far.
 
 reduced, log = extract_regular_part(deltas)
 print("\ncompression steps:")
 for step in log.steps:
     print(f"   {step.kind:>8} step on a {step.shape[0]}x{step.shape[1]} block: "
-          f"rank {step.rank}, kept sigma {step.kept_sv:.2e}, dropped {step.dropped_sv:.2e}")
+          f"rank {step.rank}, kept sigma {step.kept_sv:.2e}, dropped {step.dropped_sv:.2e}; "
+          f"slab kept {step.slab_kept_sv:.2e}, dropped {step.slab_dropped_sv:.2e}")
 print(f"regular part: {reduced.shape[0]} x {reduced.shape[1]}")
 
 ##############################################################################

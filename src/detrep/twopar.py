@@ -10,8 +10,9 @@ coupled through the operator determinants
 into the generalized problems delta1 w = x delta0 w, delta2 w = y delta0 w.
 When delta0 is nonsingular the coupled problems share eigenvectors and
 deliver all n1*n2 eigenvalue pairs; otherwise a staircase-style sequence of
-SVD-based unitary compressions peels off the singular structure until a
-square block with nonsingular delta0 remains.
+SVD-based unitary compressions, each turning the triple by one singular
+factor of delta0, peels off the singular structure until a square block
+with nonsingular delta0 remains.
 """
 
 from __future__ import annotations
@@ -82,6 +83,9 @@ class StaircaseStep:
     kept_sv: float
     dropped_sv: float
     ambiguous: bool
+    # the slab decision: the smallest kept and largest dropped singular value
+    slab_kept_sv: float
+    slab_dropped_sv: float
 
 
 @dataclass
@@ -258,34 +262,32 @@ def extract_regular_part(
 
     Each step compresses all three matrices at once with SVD-based unitary
     transforms.  While delta0 is column-rank deficient, a columns step
-    splits off its right null directions and keeps the rows that
-    annihilate the matching columns of delta1 and delta2 (the trailing
-    slab).  When delta0 has full column rank but extra rows, a rows step
-    runs instead; it is the columns step of the conjugate-transposed
-    triple with the left and right bases swapped, since the bottom rows of
-    delta1 and delta2 are the trailing columns of their conjugate
-    transposes.  The loop stops at a square block with nonsingular delta0
-    (possibly empty).
+    turns them by delta0's right singular vectors, drops its null columns
+    and keeps the rows that annihilate those columns of delta1 and delta2
+    (the trailing slab).  delta0's left factor is never applied: the
+    slab's left singular vectors absorb any unitary on the left.  When
+    delta0 has full column rank but extra rows, a rows step runs instead:
+    the columns step of the conjugate-transposed triple, with the bases
+    swapped and delta0's left singular vectors as the right ones.  The
+    loop stops at a square block with nonsingular delta0 (possibly empty).
     """
-    ds = [mat.copy() for mat in (deltas.delta0, deltas.delta1, deltas.delta2)]
-    m, k = ds[0].shape
-    left = np.eye(m, dtype=complex)
-    right = np.eye(k, dtype=complex)
-    log = StaircaseLog(left=left, right=right)
+    ds = [deltas.delta0, deltas.delta1, deltas.delta2]
+    m, k = deltas.shape
+    left, right = np.eye(m, dtype=complex), np.eye(k, dtype=complex)
+    log = StaircaseLog()
     budget = max(m * k, 1)
-
-    # one absolute cutoff for every rank decision: unitary transforms and
-    # submatrix selection never grow the entries, so the original spectral
-    # norms anchor what "negligible" means throughout
-    scale = np.linalg.svd(np.stack(ds), compute_uv=False)[:, 0].max() if ds[0].size else 0.0
     rel = rank_tol if rank_tol is not None else _default_rank_tol((m, k))
-    cutoff = rel * max(scale, 1e-300)
+    cutoff = None
 
-    while True:
+    while ds[0].size:
         m, k = ds[0].shape
-        if m == 0 or k == 0:
-            break
         u, sv, vh = _svd(ds[0])
+        if cutoff is None:
+            # one absolute cutoff for every rank decision: unitary transforms
+            # and submatrix selection never grow the entries, so the original
+            # spectral norms anchor what "negligible" means throughout
+            scale = max(sv[0], np.linalg.svd(np.stack(ds[1:]), compute_uv=False)[:, 0].max())
+            cutoff = rel * max(scale, 1e-300)
         rank, kept, dropped, ambiguous = _decide_rank(
             sv, cutoff, log, f"rank decision at {m}x{k} block is ambiguous: kept singular value"
         )
@@ -297,31 +299,29 @@ def extract_regular_part(
                 f"(current block {m}x{k}, rank {rank})"
             )
 
-        v = vh.conj().T
-        ds = [u.conj().T @ d @ v for d in ds]
-        left, right = left @ u, right @ v
         # a rows step (m > k, full column rank) runs as the columns step of
         # the conjugate-transposed triple, with the bases swapped
         rows = rank == k
         if rows:
             ds, left, right = [d.conj().T for d in ds], right, left
+        v = u if rows else vh.conj().T
+        ds = [d @ v for d in ds]
+        right = right @ v
         # drop delta0's null columns, keep the rows that annihilate those
         # columns of delta1 and delta2
-        trailing = np.hstack([ds[1][:, rank:], ds[2][:, rank:]])
-        u2, sv2, _ = _svd(trailing)
-        rho = _decide_rank(
+        u2, sv2, _ = _svd(np.hstack([ds[1][:, rank:], ds[2][:, rank:]]))
+        rho, slab_kept, slab_dropped, _ = _decide_rank(
             sv2, cutoff, log,
             f"{'column' if rows else 'row'} compression at {m}x{k} block is ambiguous: kept",
-        )[0]
+        )
         ds = [(u2.conj().T @ d)[rho:, :rank] for d in ds]
         left, right = (left @ u2)[:, rho:], right[:, :rank]
         if rows:
             ds, left, right = [d.conj().T for d in ds], right, left
-        kind = "rows" if rows else "columns"
-        log.steps.append(StaircaseStep(kind, (m, k), rank, kept, dropped, ambiguous))
+        log.steps.append(StaircaseStep("rows" if rows else "columns", (m, k), rank, kept,
+                                       dropped, ambiguous, slab_kept, slab_dropped))
 
-    log.left = left
-    log.right = right
+    log.left, log.right = left, right
     return DeltaTriple(*ds), log
 
 
@@ -349,6 +349,6 @@ def solve_full(
         pass
     reduced, log = extract_regular_part(deltas, rank_tol=rank_tol)
     solutions = []
-    if reduced.shape[0]:  # an empty (0 x k) regular part has no eigenvalues
+    if reduced.delta0.size:  # an empty (k x 0 or 0 x k) regular part has no eigenvalues
         solutions = solve_regular(reduced, cluster_tol=cluster_tol, rank_tol=rank_tol)
     return TwoParameterResult(solutions, deltas, reduced, log)

@@ -125,6 +125,10 @@ class TestSolve:
         assert len(dumped["delta0"]) == 25
         assert dumped["staircase"]  # the 25x25 problem is singular
         assert dumped["staircase"][0]["shape"] == [25, 25]
+        # both rank decisions of every step, delta0's and the slab's
+        for step in dumped["staircase"]:
+            assert step["kept_sv"] > step["dropped_sv"]
+            assert step["slab_kept_sv"] > step["slab_dropped_sv"]
 
     def test_dump_deltas_after_retry_holds_swapped_orientation(self, tmp_path):
         p, q = retry_system()

@@ -243,16 +243,16 @@ class TestSolveSystem:
         match_pairwise(records, [(r.x, r.y) for r in lin2], 1e-8)
 
     def test_residual_filter_shortfall_is_reported(self):
-        """sparse-auto seed-0 system 29: the regular part has all 64
-        candidates, but one fails the residual filter (the shortfall itself
+        """sparse-auto seed-0 system 84: the regular part has all 64
+        candidates, but two fail the residual filter (the shortfall itself
         is the staircase's accuracy, ROADMAP item 1); the solve says so."""
         stream = workloads.systems(workloads.WORKLOADS["sparse-auto"], 0)
-        p, q = (BivariatePolynomial(t) for t in next(itertools.islice(stream, 29, None)))
+        p, q = (BivariatePolynomial(t) for t in next(itertools.islice(stream, 84, None)))
         diag = SolveDiagnostics()
         records = solve_system(p, q, SolveOptions(), diag)
-        assert (diag.candidates, diag.rejected, diag.swapped) == (64, 1, False)
-        assert sum(r.multiplicity for r in records) == 63
-        assert diag.warnings == ["1 of 64 candidates failed the residual filter"]
+        assert (diag.candidates, diag.rejected, diag.swapped) == (64, 2, False)
+        assert sum(r.multiplicity for r in records) == 62
+        assert diag.warnings == ["2 of 64 candidates failed the residual filter"]
 
     @pytest.mark.parametrize("method", ["auto", "lin1"])
     def test_exact_singular_root_has_infinite_accuracy(self, method):
@@ -265,9 +265,16 @@ class TestSolveSystem:
         assert rec.accuracy == accuracy_measure(p, q, rec.x, rec.y)
 
     def test_non_zero_dimensional_system_rejected(self):
+        # the staircase ends in a k x 0 block, an empty regular part
         p = BivariatePolynomial.from_terms({(1, 0): 1, (0, 1): 1, (0, 0): -1})
-        with pytest.raises(DegenerateSystemError):
-            solve_system(p, p)
+        for method in ("lin1", "lin2"):
+            diag = SolveDiagnostics()
+            with pytest.raises(DegenerateSystemError):
+                solve_system(p, p, SolveOptions(linearization=method), diag)
+            assert diag.warnings == [
+                "empty regular part: no candidates",
+                "empty regular part: no candidates (swapped variables)",
+            ], method
 
     def test_zero_polynomial_rejected(self):
         p = BivariatePolynomial.from_terms({(1, 0): 1})

@@ -3,7 +3,7 @@
 `perfbench/spans.py` wraps solver and twopar functions by name and reads
 fields of their results; a rename would otherwise show only when the
 traced benchmark runs.  This runs the traced benchmark over the counted
-systems of two workloads (about 1.5 s) and checks its exact counts."""
+systems of three workloads (about 2.5 s) and checks its exact counts."""
 
 import sys
 from pathlib import Path
@@ -27,6 +27,19 @@ EXACT_COUNTS = {
         "pencils.size.generic": 3.0,
         "pencils.size.sparse": 3.0,
         "pencils.size.representation": 2.0,
+    },
+    # lin1 cubics: a 3-step staircase from the 25 x 25 deltas to the 9
+    # roots, in the first orientation; a step that flips a rank decision on
+    # any counted system changes these
+    "cubic-lin1": {
+        "twopar.staircase_steps": 3.0,
+        "twopar.rank_test_calls": 2.0,
+        "twopar.delta_dim": 25.0,
+        "twopar.reduced_dim": 9.0,
+        "solver.attempts": 1.0,
+        "pencils.size.generic": 5.0,
+        "pencils.size.sparse": 5.0,
+        "pencils.size.representation": 3.0,
     },
     # lin2 cubics: the regular path, one rank test and no staircase; the
     # size-3 special representation tree

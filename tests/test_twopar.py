@@ -287,19 +287,47 @@ class TestExtractRegularPart:
         ]
         assert len(passing) == 25
 
-    def test_transformations_stay_isometric(self):
+    @pytest.mark.parametrize("method", ["lin1", "lin2"])
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_transformations_stay_isometric(self, method, degree):
         rng = np.random.default_rng(8)
-        p = random_polynomial(rng, 4)
-        q = random_polynomial(rng, 4)
-        deltas = operator_determinants(*lin1_problem(p, q))
+        p = random_polynomial(rng, degree)
+        q = random_polynomial(rng, degree)
+        pencils = lin1_problem(p, q) if method == "lin1" else (linearize(p), linearize(q))
+        deltas = operator_determinants(*pencils)
         reduced, log = extract_regular_part(deltas)
         for mat in (log.left, log.right):
             gram = mat.conj().T @ mat
             assert np.abs(gram - np.eye(mat.shape[1])).max() <= 1e-12
         # the reduced triple is the two-sided compression of the original
-        assert np.allclose(
-            reduced.delta1, log.left.conj().T @ deltas.delta1 @ log.right, atol=1e-10
-        )
+        for name in ("delta0", "delta1", "delta2"):
+            assert np.allclose(
+                getattr(reduced, name),
+                log.left.conj().T @ getattr(deltas, name) @ log.right,
+                rtol=0, atol=1e-10,
+            ), name
+
+    def test_steps_record_the_slab_decision(self):
+        """Each step keeps the kept and dropped singular values of its slab
+        decision.  The first slab's singular values do not depend on the
+        basis of delta0's null space, so they are recomputed here from the
+        original triple: [delta1 V0, delta2 V0], V0 that null basis."""
+        rng = np.random.default_rng(6)
+        p = random_polynomial(rng, 3)
+        q = random_polynomial(rng, 3)
+        deltas = operator_determinants(*lin1_problem(p, q))
+        _, log = extract_regular_part(deltas)
+        assert [step.shape for step in log.steps] == [(25, 25), (17, 16), (12, 12)]
+        first = log.steps[0]
+        v0 = np.linalg.svd(deltas.delta0)[2].conj().T[:, first.rank:]
+        slab = np.hstack([deltas.delta1 @ v0, deltas.delta2 @ v0])
+        sv = np.linalg.svd(slab, compute_uv=False)
+        rho = 25 - 17  # the slab's rank: the rows the first step removes
+        assert first.slab_kept_sv == pytest.approx(sv[rho - 1], rel=1e-10)
+        assert first.slab_dropped_sv == pytest.approx(sv[rho], rel=0, abs=1e-12)
+        # on a generic cubic every slab decision has a decisive gap
+        for step in log.steps:
+            assert step.slab_kept_sv > 1e6 * step.slab_dropped_sv
 
     def test_determinant_compatibility(self):
         """Every recovered eigenvalue annihilates both original pencils."""
@@ -377,9 +405,11 @@ class TestRowsStep:
         assert reduced.shape == (k, k)
         xs = [s.x for s in solve_regular(reduced)]
         assert max_matched_gap(xs, eigenvalues) <= 1e-10
-        assert np.allclose(
-            log.left.conj().T @ triple.delta1 @ log.right, reduced.delta1, rtol=0, atol=1e-12
-        )
+        for name in ("delta0", "delta1", "delta2"):
+            assert np.allclose(
+                log.left.conj().T @ getattr(triple, name) @ log.right,
+                getattr(reduced, name), rtol=0, atol=1e-12,
+            ), name
 
     @pytest.mark.parametrize("seed", range(15))
     def test_conjugate_transpose_takes_the_columns_step(self, seed):
