@@ -45,25 +45,26 @@ def cmd_linearize(args) -> int:
         print(f"error: cannot read polynomial file {args.input!r}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 
-    if args.method == "tree":
+    if args.method == "lin1":
         if args.sparse:
             tree = monomial_tree.sparse_tree_heuristic(poly)
         else:
             tree = monomial_tree.generic_tree(poly.degree)
         pencil = monomial_tree.assemble_pencil_from_monomial_tree(poly, tree)
-        meta = {"method": "tree", "tree": serialize.monomial_tree_to_json(tree)}
-    else:  # alg2
+        tree_json = serialize.monomial_tree_to_json(tree)
+    else:
+        if args.sparse:
+            print("error: --sparse applies to method 'lin1' only", file=sys.stderr)
+            return EXIT_FAILURE
         if isinstance(poly, MatrixBivariatePolynomial):
-            print(
-                "error: method 'alg2' supports scalar polynomials only", file=sys.stderr
-            )
+            print("error: method 'lin2' supports scalar polynomials only", file=sys.stderr)
             return EXIT_FAILURE
         tree = representation_tree.build_tree(poly)
         pencil = representation_tree.assemble_pencil_from_representation_tree(tree)
-        meta = {"method": "alg2", "tree": serialize.representation_tree_to_json(tree)}
+        tree_json = serialize.representation_tree_to_json(tree)
 
     payload = serialize.pencil_to_json(pencil)
-    payload.update(meta)
+    payload.update(method=args.method, tree=tree_json)
     _emit(payload, args.output)
     return EXIT_OK
 
@@ -72,7 +73,7 @@ def _solve_options(args, file_opts) -> solver.SolveOptions:
     """Options from the flags, overridden by the system file's "options";
     SolveOptions validates the combination once it is complete."""
     flags = {
-        "linearization": {"tree": "lin1", "alg2": "lin2"}.get(args.method),
+        "linearization": args.method,
         "rank_tol": args.rank_tol,
         "cluster_tol": args.cluster_tol,
         "newton_steps": args.newton_steps,
@@ -110,13 +111,14 @@ def cmd_solve(args) -> int:
 
     if args.dump_deltas:
         # the deltas and staircase of the orientation that gave the roots
-        deltas = diagnostics.deltas
+        result = diagnostics.result
+        steps = result.staircase.steps if result.staircase is not None else []
         dump = {
             "swapped": diagnostics.swapped,
-            "delta0": serialize._matrix_to_json(deltas.delta0),
-            "delta1": serialize._matrix_to_json(deltas.delta1),
-            "delta2": serialize._matrix_to_json(deltas.delta2),
-            "staircase": [dataclasses.asdict(s) for s in diagnostics.staircase_steps],
+            "delta0": serialize._matrix_to_json(result.deltas.delta0),
+            "delta1": serialize._matrix_to_json(result.deltas.delta1),
+            "delta2": serialize._matrix_to_json(result.deltas.delta2),
+            "staircase": [dataclasses.asdict(s) for s in steps],
             "warnings": diagnostics.warnings,
         }
         serialize.dump(dump, args.dump_deltas)
@@ -241,15 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lin = sub.add_parser("linearize", help="build a pencil A + xB + yC for a polynomial file")
     p_lin.add_argument("input", help="polynomial JSON file")
-    p_lin.add_argument("--method", choices=("tree", "alg2"), default="tree")
+    p_lin.add_argument("--method", choices=("lin1", "lin2"), default="lin1")
     p_lin.add_argument("--sparse", action="store_true",
-                       help="with --method tree, use the small-tree heuristic")
+                       help="with --method lin1, use the small-tree heuristic")
     p_lin.add_argument("--output", help="write the pencil JSON here instead of stdout")
     p_lin.set_defaults(func=cmd_linearize)
 
     p_solve = sub.add_parser("solve", help="compute all roots of a two-polynomial system file")
     p_solve.add_argument("input", help="system JSON file with entries 'p' and 'q'")
-    p_solve.add_argument("--method", choices=("auto", "tree", "alg2"), default="auto")
+    p_solve.add_argument("--method", choices=solver.LINEARIZATIONS, default="auto")
     p_solve.add_argument("--rank-tol", type=float, default=None)
     p_solve.add_argument("--cluster-tol", type=float, default=None)
     p_solve.add_argument("--newton-steps", type=int, default=None)

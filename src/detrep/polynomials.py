@@ -189,16 +189,6 @@ class AffineSubstitution:
             self.linear @ inner.linear, self.linear @ inner.shift + self.shift
         )
 
-    def apply_point(self, x: complex, y: complex) -> tuple[complex, complex]:
-        v = self.linear @ np.array([x, y]) + self.shift
-        return complex(v[0]), complex(v[1])
-
-    @property
-    def is_identity(self) -> bool:
-        return bool(
-            np.array_equal(self.linear, np.eye(2)) and np.array_equal(self.shift, np.zeros(2))
-        )
-
 
 class MatrixBivariatePolynomial:
     """Bivariate polynomial whose coefficients are square k x k blocks."""
@@ -235,10 +225,6 @@ class MatrixBivariatePolynomial:
                 blk = self.coeffs[j, k]
                 if np.any(blk != 0):
                     yield j, k, blk
-
-    def entry(self, row: int, col: int) -> BivariatePolynomial:
-        """Scalar polynomial sitting at a fixed block entry."""
-        return BivariatePolynomial(self.coeffs[:, :, row, col])
 
     def __call__(self, x: complex, y: complex) -> np.ndarray:
         tables = np.moveaxis(self.coeffs, (2, 3), (0, 1)).reshape((-1,) + self.coeffs.shape[:2])

@@ -101,29 +101,19 @@ class RepresentationTree:
     def __len__(self):
         return len(self.parents)
 
-    def _node_tables(self, size: int) -> list[np.ndarray]:
-        # a node's degree is its depth, at most len(self) - 1, so tables of
-        # size len(self) + 1 also hold a coefficient form times the node
-        tables = [np.zeros((size, size), dtype=complex)]
-        tables[0][0, 0] = 1.0
+    def _reconstruct_table(self, size: int) -> np.ndarray:
+        # sum of coefficient form times node product; a node's degree is its
+        # depth, at most len(self) - 1, so size len(self) + 1 holds every term
+        nodes = [np.zeros((size, size), dtype=complex)]
+        nodes[0][0, 0] = 1.0
         for i in range(1, len(self)):
             e = self.edges[i]
-            tables.append(times_linear(tables[self.parents[i]], e.a, e.b, e.c))
-        return tables
-
-    def _reconstruct_table(self, size: int) -> np.ndarray:
+            nodes.append(times_linear(nodes[self.parents[i]], e.a, e.b, e.c))
         total = np.zeros((size, size), dtype=complex)
-        for f, table in zip(self.coeffs, self._node_tables(size)):
+        for f, table in zip(self.coeffs, nodes):
             if not f.is_zero:
                 total += times_linear(table, f.a, f.b, f.c)
         return total
-
-    def node_polynomials(self) -> list[BivariatePolynomial]:
-        return [BivariatePolynomial(t) for t in self._node_tables(len(self) + 1)]
-
-    def reconstruct(self) -> BivariatePolynomial:
-        """Sum of coefficient form times node polynomial."""
-        return BivariatePolynomial(self._reconstruct_table(len(self) + 1))
 
     def compose(self, sub: AffineSubstitution) -> "RepresentationTree":
         return RepresentationTree(
@@ -204,10 +194,11 @@ def _rotate_leading_x(p: BivariatePolynomial):
     return p.substitute(rot), (SubstitutionStep("rotate_y", rot, {"gamma": gamma}),)
 
 
-def _undo_substitutions(tree: RepresentationTree, steps) -> RepresentationTree:
-    """Tree built in substituted variables, expressed in the original ones."""
-    tree = tree.with_steps(tuple(steps))
-    return tree.compose(tree.composed_substitution().inverse())
+def _undo_substitutions(tree: RepresentationTree, steps: tuple) -> RepresentationTree:
+    """Tree built in the variables after `steps`, expressed in the ones
+    before them; the steps go in front of the tree's own."""
+    back = tree.with_steps(steps).composed_substitution().inverse()
+    return tree.compose(back).with_steps(steps + tree.substitution_steps)
 
 
 def _simple_roots(roots: np.ndarray) -> list[complex]:
@@ -446,8 +437,7 @@ def _build(p: BivariatePolynomial, allow_special: bool) -> RepresentationTree:
     if rotation:
         # a cubic or quartic gets here only when its special tree, which
         # makes this same rotation, failed
-        inner = _build(work, allow_special and n > 4).compose(rotation[0].map.inverse())
-        return inner.with_steps(rotation + inner.substitution_steps)
+        return _undo_substitutions(_build(work, allow_special and n > 4), rotation)
     return _main_branch_tree(p, allow_special)
 
 

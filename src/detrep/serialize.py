@@ -2,7 +2,8 @@
 
 Scalar entries are written as plain numbers when real and as [re, im]
 pairs otherwise; readers accept both forms everywhere.  Matrices are
-row-major nested arrays of [re, im] pairs.
+row-major nested arrays of [re, im] pairs.  Trees are written only, as
+the metadata of `detrep linearize`; no command reads them back.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .monomial_tree import MonomialTree
 from .pencils import Pencil
-from .polynomials import AffineSubstitution, BivariatePolynomial, MatrixBivariatePolynomial
+from .polynomials import BivariatePolynomial, MatrixBivariatePolynomial
 from .representation_tree import LinearForm, RepresentationTree, SubstitutionStep
 from .solver import RootRecord
 
@@ -107,24 +108,10 @@ def monomial_tree_to_json(tree: MonomialTree) -> dict:
     }
 
 
-def monomial_tree_from_json(obj: dict) -> MonomialTree:
-    return MonomialTree(
-        tuple((int(j), int(k)) for j, k in obj["nodes"]),
-        tuple(-1 if p in (-1, None) else int(p) for p in obj["parents"]),
-        tuple(obj["edges"]),
-    )
-
-
 def _form_to_json(form: LinearForm | None):
     if form is None:
         return None
     return [_scalar_to_json(form.a), _scalar_to_json(form.b), _scalar_to_json(form.c)]
-
-
-def _form_from_json(obj):
-    if obj is None:
-        return None
-    return LinearForm(*(_scalar_from_json(z) for z in obj))
 
 
 def _substitution_to_json(step: SubstitutionStep) -> dict:
@@ -136,15 +123,6 @@ def _substitution_to_json(step: SubstitutionStep) -> dict:
     }
 
 
-def _substitution_from_json(obj: dict) -> SubstitutionStep:
-    sub = AffineSubstitution(
-        _matrix_from_json(obj["linear"]),
-        np.array([_scalar_from_json(z) for z in obj["shift"]]),
-    )
-    params = {key: _scalar_from_json(val) for key, val in obj.get("params", {}).items()}
-    return SubstitutionStep(obj["kind"], sub, params)
-
-
 def representation_tree_to_json(tree: RepresentationTree) -> dict:
     return {
         "parents": [(-1 if p is None else p) for p in tree.parents],
@@ -152,15 +130,6 @@ def representation_tree_to_json(tree: RepresentationTree) -> dict:
         "coeffs": [_form_to_json(f) for f in tree.coeffs],
         "substitutions": [_substitution_to_json(s) for s in tree.substitution_steps],
     }
-
-
-def representation_tree_from_json(obj: dict) -> RepresentationTree:
-    return RepresentationTree(
-        tuple(None if p == -1 else int(p) for p in obj["parents"]),
-        tuple(_form_from_json(e) for e in obj["edges"]),
-        tuple(_form_from_json(f) for f in obj["coeffs"]),
-        tuple(_substitution_from_json(s) for s in obj.get("substitutions", [])),
-    )
 
 
 # -- roots and systems ----------------------------------------------------------------

@@ -69,13 +69,14 @@ class SolveOptions:
 class SolveDiagnostics:
     warnings: list[str] = field(default_factory=list)
     swapped: bool = False
-    candidates: int = 0
     rejected: int = 0
-    delta_size: int = 0
-    reduced_size: int = 0
-    staircase_steps: list[twopar.StaircaseStep] = field(default_factory=list)
-    # operator determinants of the attempt that produced the roots
-    deltas: twopar.DeltaTriple | None = None
+    # the latest attempt's deltas, regular part and staircase; None while
+    # an attempt runs and after one that failed
+    result: twopar.TwoParameterResult | None = None
+
+    @property
+    def candidates(self) -> int:
+        return 0 if self.result is None else len(self.result.solutions)
 
 
 def linearize_polynomial(p: BivariatePolynomial, method: str) -> Pencil:
@@ -178,16 +179,11 @@ def _dedupe(records: list[RootRecord], tol: float) -> list[RootRecord]:
 
 
 def _solve_once(p, q, opts: SolveOptions, diagnostics: SolveDiagnostics):
-    # a failed attempt's deltas and staircase are not the solve's
-    diagnostics.deltas, diagnostics.staircase_steps = None, []
+    diagnostics.result = None
     pencils = (linearize_polynomial(f, opts.linearization) for f in (p, q))
     result = twopar.solve_full(*pencils, cluster_tol=opts.cluster_tol, rank_tol=opts.rank_tol)
-    diagnostics.deltas = result.deltas
-    diagnostics.delta_size = result.deltas.shape[0]
-    diagnostics.reduced_size = result.reduced.shape[0]
-    diagnostics.candidates = len(result.solutions)
+    diagnostics.result = result
     if result.staircase is not None:
-        diagnostics.staircase_steps = result.staircase.steps
         diagnostics.warnings.extend(result.staircase.warnings)
 
     xs, ys = np.array([(s.x, s.y) for s in result.solutions], dtype=complex).reshape(-1, 2).T
@@ -239,6 +235,12 @@ def solve_system(
             if swapped:
                 diagnostics.swapped = True
                 records = [replace(r, x=r.y, y=r.x) for r in records]
+            singular = sum(r.accuracy == math.inf for r in records)
+            if singular:
+                diagnostics.warnings.append(
+                    f"{singular} of {len(records)} roots have a singular Jacobian "
+                    "(accuracy inf): a multiple root or a curve of common zeros"
+                )
             return sorted(records, key=lambda r: r.accuracy)
         diagnostics.warnings.append(
             ("no candidate passed the residual filter" if diagnostics.candidates

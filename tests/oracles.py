@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths of the package itself:
 evaluation by naive high-precision summation, Kronecker products by index
 loops, roots of a system by a Sylvester-resultant elimination, minimal
-monomial trees by exhaustive subset enumeration.
+monomial trees by exhaustive subset enumeration, the polynomials of a
+representation tree by products of {(j, k): c} term dictionaries.
 """
 
 from __future__ import annotations
@@ -218,6 +219,38 @@ def _poly_eval_dy(coeffs, x, y):
         for j in range(n + 1)
         for k in range(1, n + 1 - j)
     )
+
+
+# -- representation trees from term dictionaries -----------------------------------
+
+
+def _times_form(terms, form):
+    """The {(j, k): c} polynomial `terms` times a + b x + c y, term by term."""
+    out = {}
+    for (j, k), coeff in terms.items():
+        for key, factor in (((j, k), form.a), ((j + 1, k), form.b), ((j, k + 1), form.c)):
+            if factor != 0:
+                out[key] = out.get(key, 0) + coeff * factor
+    return out
+
+
+def tree_node_products(tree):
+    """Per node of a representation tree, the product of the edge forms on
+    its path from the root, as a {(j, k): c} dictionary."""
+    products = [{(0, 0): 1.0 + 0.0j}]
+    for i in range(1, len(tree)):
+        products.append(_times_form(products[tree.parents[i]], tree.edges[i]))
+    return products
+
+
+def tree_reconstruction(tree):
+    """The polynomial a representation tree represents: the sum over its
+    nodes of coefficient form times node product, as a {(j, k): c} dictionary."""
+    total = {}
+    for form, product in zip(tree.coeffs, tree_node_products(tree)):
+        for key, coeff in _times_form(product, form).items():
+            total[key] = total.get(key, 0) + coeff
+    return total
 
 
 # -- exhaustive minimal-tree search -----------------------------------------------

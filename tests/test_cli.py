@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from detrep import cli, serialize, twopar
+from detrep import build_tree, cli, serialize, twopar
 from detrep.polynomials import BivariatePolynomial
 from detrep.solver import linearize_polynomial
 
@@ -47,23 +48,50 @@ def run(args):
 class TestLinearize:
     def test_tree_method_size_five(self, cubic_file, tmp_path):
         out = tmp_path / "pencil.json"
-        assert run(["linearize", cubic_file, "--method", "tree", "--output", str(out)]) == 0
+        assert run(["linearize", cubic_file, "--method", "lin1", "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["size"] == 5
-        assert doc["method"] == "tree"
+        assert doc["method"] == "lin1"
         assert len(doc["tree"]["nodes"]) == 5
 
     def test_alg2_method_size_three(self, cubic_file, tmp_path):
         out = tmp_path / "pencil.json"
-        assert run(["linearize", cubic_file, "--method", "alg2", "--output", str(out)]) == 0
+        assert run(["linearize", cubic_file, "--method", "lin2", "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["size"] == 3
-        assert doc["substitutions" in doc and "substitutions" or "tree"]  # metadata present
+        assert doc["method"] == "lin2"
+        kinds = [step["kind"] for step in doc["tree"]["substitutions"]]
+        assert kinds == [step.kind for step in build_tree(CUBIC).substitution_steps]
+        assert kinds  # the size-3 tree comes from a shear
+
+    @pytest.mark.parametrize("method", ["lin1", "lin2"])
+    def test_pencil_is_the_library_pencil(self, cubic_file, tmp_path, method):
+        out = tmp_path / "pencil.json"
+        assert run(["linearize", cubic_file, "--method", method, "--output", str(out)]) == 0
+        pencil = serialize.pencil_from_json(json.loads(out.read_text()))
+        want = linearize_polynomial(CUBIC, method)
+        for got, expected in ((pencil.A, want.A), (pencil.B, want.B), (pencil.C, want.C)):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("command", ["linearize", "solve"])
+    @pytest.mark.parametrize("alias", ["tree", "alg2"])
+    def test_method_aliases_refused(self, cubic_file, system_file, command, alias, capsys):
+        path = cubic_file if command == "linearize" else system_file
+        with pytest.raises(SystemExit) as exc:
+            run([command, path, "--method", alias])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_sparse_needs_lin1(self, cubic_file, capsys):
+        assert run(["linearize", cubic_file, "--method", "lin2", "--sparse"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --sparse applies to method 'lin1' only")
+        assert captured.out == ""
 
     def test_degree_one_single_entry(self, tmp_path):
         poly = tmp_path / "lin.json"
         serialize.dump({"degree": 1, "coeffs": [[1.0, 2.0], [3.0]]}, poly)
-        for method in ("tree", "alg2"):
+        for method in ("lin1", "lin2"):
             out = tmp_path / f"{method}.json"
             assert run(["linearize", str(poly), "--method", method, "--output", str(out)]) == 0
             assert json.loads(out.read_text())["size"] == 1
@@ -73,7 +101,7 @@ class TestLinearize:
                   "coeffs": [[[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [[[1, 1], [0, 1]]]]}
         path = tmp_path / "matrix.json"
         serialize.dump(blocks, path)
-        assert run(["linearize", str(path), "--method", "alg2"]) == 1
+        assert run(["linearize", str(path), "--method", "lin2"]) == 1
         assert "scalar" in capsys.readouterr().err
 
     def test_parse_error_reported(self, tmp_path, capsys):
@@ -91,7 +119,7 @@ class TestLinearize:
             poly,
         )
         out = tmp_path / "out.json"
-        assert run(["linearize", str(poly), "--method", "tree", "--sparse",
+        assert run(["linearize", str(poly), "--method", "lin1", "--sparse",
                     "--output", str(out)]) == 0
         assert json.loads(out.read_text())["size"] <= 17
 
@@ -117,7 +145,7 @@ class TestSolve:
     def test_method_flag_and_dump_deltas(self, system_file, tmp_path):
         out = tmp_path / "roots.json"
         deltas = tmp_path / "deltas.json"
-        code = run(["solve", system_file, "--method", "tree",
+        code = run(["solve", system_file, "--method", "lin1",
                     "--output", str(out), "--dump-deltas", str(deltas)])
         assert code == 0
         assert len(json.loads(out.read_text())) == 9
@@ -137,7 +165,7 @@ class TestSolve:
             {"p": serialize.polynomial_to_json(p), "q": serialize.polynomial_to_json(q)}, path
         )
         out, deltas = tmp_path / "roots.json", tmp_path / "deltas.json"
-        code = run(["solve", str(path), "--method", "tree",
+        code = run(["solve", str(path), "--method", "lin1",
                     "--output", str(out), "--dump-deltas", str(deltas)])
         assert code == 2  # the failed first orientation leaves a warning
         assert len(json.loads(out.read_text())) == 16
@@ -177,7 +205,7 @@ class TestSolve:
         path = tmp_path / "power.json"
         serialize.dump(doc, path)
         out = tmp_path / "roots.json"
-        assert run(["solve", str(path), "--method", "alg2", "--output", str(out)]) == 0
+        assert run(["solve", str(path), "--method", "lin2", "--output", str(out)]) == 0
         roots = json.loads(out.read_text())
         assert len(roots) == 90
         assert max(r["residual"] for r in roots) <= 1e-8
@@ -232,13 +260,13 @@ class TestSolve:
 class TestVerify:
     def test_matching_pair_passes(self, cubic_file, tmp_path, capsys):
         pencil = tmp_path / "pencil.json"
-        assert run(["linearize", cubic_file, "--method", "alg2", "--output", str(pencil)]) == 0
+        assert run(["linearize", cubic_file, "--method", "lin2", "--output", str(pencil)]) == 0
         assert run(["verify", str(pencil), cubic_file]) == 0
         assert "max relative determinant error" in capsys.readouterr().out
 
     def test_perturbed_pencil_fails(self, cubic_file, tmp_path):
         pencil_path = tmp_path / "pencil.json"
-        assert run(["linearize", cubic_file, "--method", "tree", "--output", str(pencil_path)]) == 0
+        assert run(["linearize", cubic_file, "--method", "lin1", "--output", str(pencil_path)]) == 0
         doc = json.loads(pencil_path.read_text())
         doc["A"][0][0][0] += 1e-3
         serialize.dump(doc, pencil_path)
@@ -246,7 +274,7 @@ class TestVerify:
 
     def test_block_size_mismatch(self, cubic_file, tmp_path, capsys):
         pencil_path = tmp_path / "pencil.json"
-        run(["linearize", cubic_file, "--method", "tree", "--output", str(pencil_path)])
+        run(["linearize", cubic_file, "--method", "lin1", "--output", str(pencil_path)])
         doc = json.loads(pencil_path.read_text())
         # reinterpret the 5x5 matrices as one 5x5 block: still a valid
         # pencil file, but its block size disagrees with the polynomial
@@ -257,14 +285,14 @@ class TestVerify:
 
     def test_sample_count_respected(self, cubic_file, tmp_path, capsys):
         pencil = tmp_path / "pencil.json"
-        run(["linearize", cubic_file, "--method", "tree", "--output", str(pencil)])
+        run(["linearize", cubic_file, "--method", "lin1", "--output", str(pencil)])
         assert run(["verify", str(pencil), cubic_file, "--samples", "7"]) == 0
         assert "over 7 samples" in capsys.readouterr().out
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_nonpositive_sample_count_rejected(self, cubic_file, tmp_path, capsys, samples):
         pencil = tmp_path / "pencil.json"
-        run(["linearize", cubic_file, "--method", "tree", "--output", str(pencil)])
+        run(["linearize", cubic_file, "--method", "lin1", "--output", str(pencil)])
         # the pencil of another polynomial: no sample would ever catch it
         other = tmp_path / "other.json"
         serialize.dump(serialize.polynomial_to_json(BivariatePolynomial.from_terms({(1, 1): 1})), other)
@@ -282,7 +310,7 @@ class TestVerify:
         poly_path = tmp_path / "deg7.json"
         serialize.dump(serialize.polynomial_to_json(BivariatePolynomial(table)), poly_path)
         pencil_path = tmp_path / "pencil.json"
-        assert run(["linearize", str(poly_path), "--method", "alg2",
+        assert run(["linearize", str(poly_path), "--method", "lin2",
                     "--output", str(pencil_path)]) == 0
         assert run(["verify", str(pencil_path), str(poly_path),
                     "--tolerance", "1e-9"]) == 0
@@ -329,3 +357,16 @@ class TestLogging:
         monkeypatch.setenv("DETREP_LOG", "DEBUG")
         out = tmp_path / "pencil.json"
         assert run(["linearize", cubic_file, "--output", str(out)]) == 0
+
+
+def test_readme_command_lines_parse():
+    """Every `detrep ...` line of the README's command-line block parses, so
+    a renamed flag or method cannot leave the docs behind."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command-line interface", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines() if line.startswith("detrep ")]
+    assert {words[1] for words in lines} == {"linearize", "solve", "verify", "bench"}
+    parser = cli.build_parser()
+    for words in lines:
+        parser.parse_args(words[1:])

@@ -150,7 +150,8 @@ def test_no_per_root_svd_or_scalar_evaluation(monkeypatch):
     diag = SolveDiagnostics()
     records = solve_system(p, q, diagnostics=diag)
     assert sum(r.multiplicity for r in records) == 9
-    assert diag.delta_size == diag.reduced_size == 9 and not diag.staircase_steps
+    assert diag.result.deltas.shape[0] == diag.result.reduced.shape[0] == 9
+    assert diag.result.staircase is None
     assert not diag.swapped
     assert counts["svd"] <= 4
     assert counts["call"] <= 3

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from detrep import (
     newton_refine,
     solve_system,
 )
-from detrep import serialize, solver
+from detrep import serialize, solver, twopar
 from detrep.solver import SolveDiagnostics
 
 from oracles import resultant_roots, smallest_singular_value_2x2
@@ -287,6 +288,43 @@ class TestSolveSystem:
         q = random_polynomial(rng, 3)
         diag = SolveDiagnostics()
         solve_system(p, q, SolveOptions(linearization="lin1"), diag)
-        assert diag.delta_size == 25
-        assert diag.reduced_size == 9
+        assert diag.result.deltas.shape[0] == 25
+        assert diag.result.reduced.shape[0] == 9
         assert diag.candidates == 9
+
+    def test_diagnostics_keep_the_latest_attempts_result(self, monkeypatch):
+        assert [f.name for f in dataclasses.fields(SolveDiagnostics)] == [
+            "warnings", "swapped", "rejected", "result"
+        ]
+        assert SolveDiagnostics().candidates == 0
+        p, q = retry_system()
+        diag = SolveDiagnostics()
+        solve_system(p, q, SolveOptions(linearization="lin1"), diag)
+        # the swapped attempt's, not the first attempt's empty regular part
+        assert diag.swapped and diag.candidates >= 16
+
+        def failing(*args, **kwargs):
+            raise twopar.SingularDeltaError("delta0 is numerically singular")
+
+        monkeypatch.setattr(twopar, "solve_full", failing)
+        with pytest.raises(DegenerateSystemError):
+            solve_system(p, q, SolveOptions(), diag)
+        assert diag.result is None and diag.candidates == 0
+
+    @pytest.mark.parametrize("method,p,q", [
+        # common line x + y = 1: the 2x2 lin2 deltas look regular
+        ("lin2", {(1, 0): 1, (0, 1): 1, (0, 0): -1},
+         {(2, 0): 1, (1, 1): 2, (0, 2): 1, (0, 0): -1}),
+        # the line x = 1 touches the circle at (1, 0)
+        ("lin1", {(2, 0): 1, (0, 2): 1, (0, 0): -1}, {(1, 0): 1, (0, 0): -1}),
+    ], ids=["curve-lin2", "tangent-lin1"])
+    def test_singular_jacobian_roots_are_warned(self, method, p, q):
+        p, q = BivariatePolynomial.from_terms(p), BivariatePolynomial.from_terms(q)
+        diag = SolveDiagnostics()
+        records = solve_system(p, q, SolveOptions(linearization=method), diag)
+        singular = sum(r.accuracy == float("inf") for r in records)
+        assert singular >= 1
+        assert diag.warnings == [
+            f"{singular} of {len(records)} roots have a singular Jacobian (accuracy inf): "
+            "a multiple root or a curve of common zeros"
+        ]
