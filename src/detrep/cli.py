@@ -233,8 +233,17 @@ def _parse_degree_range(text: str):
     return value, value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_FAILURE: argparse's own code 2 is
+    EXIT_PARTIAL here.  Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_FAILURE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="detrep",
         description="Determinantal representations of bivariate polynomials and "
         "eigenvalue-based root finding for systems of two of them.",

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zgeev
 
 # Coefficients at or below this fraction of the largest one count as
 # structural zeros when the exact degree is determined.
@@ -160,7 +161,9 @@ class AffineSubstitution:
     def __post_init__(self):
         e = np.asarray(self.linear, dtype=complex).reshape(2, 2)
         t = np.asarray(self.shift, dtype=complex).reshape(2)
-        if abs(np.linalg.det(e)) == 0.0:
+        if not (np.isfinite(e).all() and np.isfinite(t).all()):
+            raise ValueError("substitution must be finite")
+        if e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0] == 0.0:
             raise ValueError("substitution matrix must be invertible")
         object.__setattr__(self, "linear", e)
         object.__setattr__(self, "shift", t)
@@ -242,17 +245,30 @@ def substitute_table(
     table of p(E (x', y') + t), for the square table c of p.  The first r
     rows (columns) of a `times_linear` product depend only on the first r
     rows (columns) of its factor, so the Horner run on the block alone
-    rounds exactly like the full one."""
+    rounds exactly like the full one.
+
+    Only a variable the map moves gets Horner products.  When y = y', the
+    y pass would rebuild c exactly, so c is copied; when x = x', each x
+    step is the product's exact shift of rows, added in the same order."""
     e, t = sub.linear, sub.shift
     n = c.shape[0] - 1
     # part[j] accumulates sum_k c[j, k] y^k in the new variables, all j at once
     part = np.zeros((n + 1, n + 1, n + 1), dtype=complex)[:, :rows, :cols]
-    for k in range(n, -1, -1):
-        part = times_linear(part, t[1], e[1, 0], e[1, 1])
-        part[:, 0, 0] += c[:, k]
+    if e[1, 0] == 0 and e[1, 1] == 1 and t[1] == 0:
+        part[:, 0, :] = c[:, : part.shape[2]]
+    else:
+        for k in range(n, -1, -1):
+            part = times_linear(part, t[1], e[1, 0], e[1, 1])
+            part[:, 0, 0] += c[:, k]
+    moves_x = not (e[0, 0] == 1 and e[0, 1] == 0 and t[0] == 0)
     acc = np.zeros((n + 1, n + 1), dtype=complex)[:rows, :cols]
     for j in range(n, -1, -1):
-        acc = times_linear(acc, t[0], e[0, 0], e[0, 1]) + part[j]
+        if moves_x:
+            acc = times_linear(acc, t[0], e[0, 0], e[0, 1]) + part[j]
+        else:
+            shifted = np.zeros_like(acc)
+            shifted[1:] = acc[:-1]
+            acc = shifted + part[j]
     return acc
 
 
@@ -261,7 +277,8 @@ def univariate_roots(coeffs) -> np.ndarray:
     modulus with ties broken by ascending real part, then imaginary part.
 
     Roots are eigenvalues of the companion matrix of the monic
-    normalization; the LAPACK eigensolver balances the matrix internally.
+    normalization, from one LAPACK zgeev call without eigenvectors (the
+    routine `np.linalg.eigvals` runs, which balances the matrix internally).
     """
     c = np.asarray(coeffs, dtype=complex).ravel()
     if c.size < 2:
@@ -276,10 +293,14 @@ def univariate_roots(coeffs) -> np.ndarray:
     if m == 1:
         roots = np.array([-monic[0]], dtype=complex)
     else:
+        if not np.isfinite(scale):
+            raise np.linalg.LinAlgError("coefficients must be finite")
         companion = np.zeros((m, m), dtype=complex)
-        companion[1:, :-1] = np.eye(m - 1)
+        companion.flat[m :: m + 1] = 1.0  # the subdiagonal
         companion[:, -1] = -monic[:-1]
-        roots = np.linalg.eigvals(companion)
+        roots, _, _, info = zgeev(companion, compute_vl=0, compute_vr=0, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"eigenvalues did not converge (zgeev info {info})")
     # quantize the modulus and real-part keys so that roots equal up to
     # rounding noise actually reach the tie-breaks
     quantum = 1e-12 * max(np.abs(roots).max(), 1e-300)

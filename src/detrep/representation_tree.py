@@ -115,22 +115,18 @@ class RepresentationTree:
                 total += times_linear(table, f.a, f.b, f.c)
         return total
 
-    def compose(self, sub: AffineSubstitution) -> "RepresentationTree":
-        return RepresentationTree(
-            self.parents,
-            tuple(None if e is None else e.compose(sub) for e in self.edges),
-            tuple(f.compose(sub) for f in self.coeffs),
-            self.substitution_steps,
-        )
-
-    def with_steps(self, steps: tuple) -> "RepresentationTree":
-        return RepresentationTree(self.parents, self.edges, self.coeffs, steps)
-
     def composed_substitution(self) -> AffineSubstitution:
-        total = AffineSubstitution.identity()
-        for step in self.substitution_steps:
-            total = total.compose(step.map)
-        return total
+        if not self.substitution_steps:
+            return AffineSubstitution.identity()
+        return _composed(self.substitution_steps)
+
+
+def _composed(steps: tuple) -> AffineSubstitution:
+    """The map of the non-empty `steps` applied in order, the first outermost."""
+    total = steps[0].map
+    for step in steps[1:]:
+        total = total.compose(step.map)
+    return total
 
 
 def representation_tree_size(n: int) -> int:
@@ -195,10 +191,16 @@ def _rotate_leading_x(p: BivariatePolynomial):
 
 
 def _undo_substitutions(tree: RepresentationTree, steps: tuple) -> RepresentationTree:
-    """Tree built in the variables after `steps`, expressed in the ones
-    before them; the steps go in front of the tree's own."""
-    back = tree.with_steps(steps).composed_substitution().inverse()
-    return tree.compose(back).with_steps(steps + tree.substitution_steps)
+    """Tree built in the variables after the non-empty `steps`, expressed in
+    the ones before them; the steps go in front of the tree's own."""
+    steps = steps + tree.substitution_steps
+    back = _composed(steps).inverse()
+    return RepresentationTree(
+        tree.parents,
+        tuple(None if e is None else e.compose(back) for e in tree.edges),
+        tuple(f.compose(back) for f in tree.coeffs),
+        steps,
+    )
 
 
 def _simple_roots(roots: np.ndarray) -> list[complex]:

@@ -4,7 +4,10 @@ Everything here deliberately avoids the code paths of the package itself:
 evaluation by naive high-precision summation, Kronecker products by index
 loops, roots of a system by a Sylvester-resultant elimination, minimal
 monomial trees by exhaustive subset enumeration, the polynomials of a
-representation tree by products of {(j, k): c} term dictionaries.
+representation tree by products of {(j, k): c} term dictionaries.  Two
+are earlier forms of package routines, kept to pin the rounding of their
+faster replacements: the two-pass Horner substitution and the companion
+eigenvalues from `np.linalg.eigvals`.
 """
 
 from __future__ import annotations
@@ -289,3 +292,48 @@ def min_covering_tree_size(terms, degree):
         if best is not None:
             break
     return best
+
+
+# -- earlier forms of package routines ---------------------------------------------
+
+
+def _times_linear(table, a, b, c):
+    out = a * table
+    out[..., 1:, :] += b * table[..., :-1, :]
+    out[..., :, 1:] += c * table[..., :, :-1]
+    return out
+
+
+def substitute_table_two_pass(c, sub, rows=None, cols=None):
+    """Leading rows x cols block of the table of p(E (x', y') + t) by a
+    Horner pass over y for all rows of c, then one over x, whatever the map
+    leaves alone."""
+    e, t = sub.linear, sub.shift
+    n = c.shape[0] - 1
+    part = np.zeros((n + 1, n + 1, n + 1), dtype=complex)[:, :rows, :cols]
+    for k in range(n, -1, -1):
+        part = _times_linear(part, t[1], e[1, 0], e[1, 1])
+        part[:, 0, 0] += c[:, k]
+    acc = np.zeros((n + 1, n + 1), dtype=complex)[:rows, :cols]
+    for j in range(n, -1, -1):
+        acc = _times_linear(acc, t[0], e[0, 0], e[0, 1]) + part[j]
+    return acc
+
+
+def companion_eigvals(coeffs):
+    """Roots of c[0] + ... + c[m] t^m (m >= 2) as `np.linalg.eigvals` of
+    the companion matrix of the monic normalization, in the package's
+    order: ascending modulus, then real part, then imaginary part, the
+    first two keys quantized at 1e-12 of the largest modulus."""
+    c = np.asarray(coeffs, dtype=complex).ravel()
+    monic = c / c[-1]
+    m = c.size - 1
+    companion = np.zeros((m, m), dtype=complex)
+    companion[1:, :-1] = np.eye(m - 1)
+    companion[:, -1] = -monic[:-1]
+    roots = np.linalg.eigvals(companion)
+    quantum = 1e-12 * max(np.abs(roots).max(), 1e-300)
+    order = np.lexsort(
+        (roots.imag, np.round(roots.real / quantum), np.round(np.abs(roots) / quantum))
+    )
+    return roots[order]

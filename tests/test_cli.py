@@ -79,7 +79,7 @@ class TestLinearize:
         path = cubic_file if command == "linearize" else system_file
         with pytest.raises(SystemExit) as exc:
             run([command, path, "--method", alias])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "invalid choice" in capsys.readouterr().err
 
     def test_sparse_needs_lin1(self, cubic_file, capsys):
@@ -125,6 +125,21 @@ class TestLinearize:
 
 
 class TestSolve:
+    def test_malformed_flag_is_a_failure_not_a_partial_result(self, system_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", system_file, "--rank-tol"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: detrep solve")
+        assert "detrep solve: error: argument --rank-tol: expected one argument" in captured.err
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: detrep solve")
+
     def test_trivial_system(self, tmp_path, capsys):
         doc = {
             "p": {"degree": 1, "coeffs": [[-1.0, 1.0], [1.0]]},

@@ -11,10 +11,15 @@ from detrep import (
     partial_derivatives,
     univariate_roots,
 )
-from detrep import serialize
+from detrep import polynomials, serialize
 from detrep.polynomials import DEGREE_TRIM_REL, _trim_table, substitute_table
 
-from oracles import central_difference, naive_eval
+from oracles import (
+    central_difference,
+    companion_eigvals,
+    naive_eval,
+    substitute_table_two_pass,
+)
 
 # the running cubic used throughout the suite
 CUBIC = BivariatePolynomial.from_terms(
@@ -132,6 +137,26 @@ class TestUnivariateRoots:
         roots = univariate_roots([6, -5, -2, 1])  # (t-1)(t+2)(t-3)
         assert np.all(np.diff(np.abs(roots)) >= -1e-12)
 
+    @pytest.mark.parametrize("degree", range(2, 9))
+    def test_bitwise_the_sorted_numpy_eigenvalues(self, degree):
+        rng = np.random.default_rng(400 + degree)
+        for trial in range(40):
+            c = rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1)
+            if trial % 2:  # wide-range coefficients
+                c *= 10.0 ** rng.uniform(-6, 6, degree + 1)
+                c[-1] = max(abs(c[-1]), 1e-6 * np.abs(c).max())
+            if trial % 4 == 3:
+                c = c.real.astype(complex)
+            assert univariate_roots(c).tobytes() == companion_eigvals(c).tobytes()
+
+    def test_unconverged_eigensolve_raises(self, monkeypatch):
+        def failing_zgeev(a, **kwargs):
+            return np.zeros(a.shape[0], dtype=complex), None, None, 1
+
+        monkeypatch.setattr(polynomials, "zgeev", failing_zgeev)
+        with pytest.raises(np.linalg.LinAlgError):
+            univariate_roots([6, -5, -2, 1])
+
 
 class TestApplySubstitution:
     def test_identity(self):
@@ -190,6 +215,14 @@ class TestApplySubstitution:
     def test_singular_map_rejected(self):
         with pytest.raises(ValueError):
             AffineSubstitution([[1.0, 2.0], [2.0, 4.0]], [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "linear,shift",
+        [([[np.nan, 0.0], [0.0, 1.0]], [0.0, 0.0]), (np.eye(2), [np.inf, 0.0])],
+    )
+    def test_non_finite_map_rejected(self, linear, shift):
+        with pytest.raises(ValueError, match="substitution must be finite"):
+            AffineSubstitution(linear, shift)
 
 
 class TestPartialDerivatives:
@@ -309,6 +342,30 @@ def test_shear_window_rounds_like_the_full_substitution(p, s, t, along_y):
     assert window[j, k] == full.coeffs[j, k]
     rows, cols = window.shape
     assert np.array_equal(window, substitute_table(p.coeffs, sub)[:rows, :cols])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from(["shear_x", "shear_y", "rotate_y"]),
+    st.builds(complex, wide, wide),
+    st.builds(complex, wide, wide),
+    st.sampled_from([(None, None), (1, None), (None, 1)]),
+)
+def test_one_pass_per_moved_variable_rounds_like_two_passes(
+    n, seed, complex_coeffs, kind, a, b, window
+):
+    """Skipping the Horner pass of the variable a shear leaves alone changes
+    no entry of the table or of its row 0 and column 0 windows."""
+    p = random_polynomial(np.random.default_rng(seed), n, complex_coeffs)
+    if kind == "shear_x":
+        sub = AffineSubstitution.shear_x(a, b)
+    else:
+        sub = AffineSubstitution.shear_y(a, b if kind == "shear_y" else 0.0)
+    got = substitute_table(p.coeffs, sub, *window)
+    assert np.array_equal(got, substitute_table_two_pass(p.coeffs, sub, *window))
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ from detrep import (
     representation_tree_size,
     univariate_roots,
 )
+from detrep import polynomials, representation_tree
 from detrep.representation_tree import _build
 
 from oracles import tree_node_products, tree_reconstruction
@@ -354,6 +355,34 @@ def test_dense_tree_substitutes_once_per_shear(monkeypatch, n, shears):
     monkeypatch.undo()
     assert [step.kind for step in tree.substitution_steps] == ["shear_x", "shear_y"][:shears]
     assert len(calls) == shears
+
+
+@pytest.mark.parametrize("n,products", [(3, 13), (4, 29)])
+def test_dense_tree_call_budget(monkeypatch, n, products):
+    """A shear runs Horner products only over the variable it moves, and
+    invertibility needs no determinant routine.  A dense cubic makes 8
+    table products in its shear (correction window and full table) and 5
+    in the misfit guard; with a two-pass substitution it made 21, and 4
+    `np.linalg.det` calls.  A dense quartic made 49 and 6."""
+    calls = {"times_linear": 0, "det": 0}
+    times_linear, det = polynomials.times_linear, np.linalg.det
+
+    def counting_times_linear(*args):
+        calls["times_linear"] += 1
+        return times_linear(*args)
+
+    def counting_det(a):
+        calls["det"] += 1
+        return det(a)
+
+    p = random_polynomial(np.random.default_rng(95), n)
+    for module in (polynomials, representation_tree):
+        monkeypatch.setattr(module, "times_linear", counting_times_linear)
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    tree = build_tree(p)
+    monkeypatch.undo()
+    assert len(tree) == representation_tree_size(n) - 1
+    assert calls == {"times_linear": products, "det": 0}
 
 
 class TestLinearize:
