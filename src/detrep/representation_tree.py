@@ -116,17 +116,10 @@ class RepresentationTree:
         return total
 
     def composed_substitution(self) -> AffineSubstitution:
-        if not self.substitution_steps:
-            return AffineSubstitution.identity()
-        return _composed(self.substitution_steps)
-
-
-def _composed(steps: tuple) -> AffineSubstitution:
-    """The map of the non-empty `steps` applied in order, the first outermost."""
-    total = steps[0].map
-    for step in steps[1:]:
-        total = total.compose(step.map)
-    return total
+        total = AffineSubstitution.identity()
+        for step in self.substitution_steps:
+            total = total.compose(step.map)
+        return total
 
 
 def representation_tree_size(n: int) -> int:
@@ -191,15 +184,18 @@ def _rotate_leading_x(p: BivariatePolynomial):
 
 
 def _undo_substitutions(tree: RepresentationTree, steps: tuple) -> RepresentationTree:
-    """Tree built in the variables after the non-empty `steps`, expressed in
-    the ones before them; the steps go in front of the tree's own."""
-    steps = steps + tree.substitution_steps
-    back = _composed(steps).inverse()
+    """Tree built in the variables after `steps`, expressed in the ones
+    before them; the steps go in front of the tree's own, which the tree
+    has already undone."""
+    total = AffineSubstitution.identity()
+    for step in steps:
+        total = total.compose(step.map)
+    back = total.inverse()
     return RepresentationTree(
         tree.parents,
         tuple(None if e is None else e.compose(back) for e in tree.edges),
         tuple(f.compose(back) for f in tree.coeffs),
-        steps,
+        steps + tree.substitution_steps,
     )
 
 

@@ -139,6 +139,10 @@ class TestUnivariateRoots:
 
     @pytest.mark.parametrize("degree", range(2, 9))
     def test_bitwise_the_sorted_numpy_eigenvalues(self, degree):
+        """scipy's zgeev gives `np.linalg.eigvals`'s roots byte for byte.
+        The two come from separately bundled LAPACK builds (with numpy
+        2.4.6 and scipy 1.17.1: OpenBLAS 0.3.31 and 0.3.30), so the
+        equality holds for those builds; LAPACK does not promise it."""
         rng = np.random.default_rng(400 + degree)
         for trial in range(40):
             c = rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1)

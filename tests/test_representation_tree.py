@@ -415,3 +415,21 @@ class TestLinearize:
         assert "shear_x" in kinds  # the inner cubic special case fired
         assert len(tree) == 10
         assert identity_defect(tree, p) < 1e-10
+
+    @pytest.mark.parametrize(
+        "n,kinds", [(6, ["rotate_y", "shear_x"]), (7, ["rotate_y", "shear_x", "shear_y"])]
+    )
+    def test_rotated_tree_with_a_sheared_subtree(self, n, kinds):
+        """Without an x^n term the whole tree is built after a rotation, and
+        its cubic or quartic remainder after its own shears.  Undoing the
+        rotation must not undo those shears a second time."""
+        rng = np.random.default_rng(93 + n)
+        for trial in range(3):
+            c = random_polynomial(rng, n, complex_coeffs=(trial == 2)).coeffs.copy()
+            c[n, 0] = 0.0
+            p = BivariatePolynomial(c)
+            tree = build_tree(p)
+            assert [s.kind for s in tree.substitution_steps] == kinds
+            assert identity_defect(tree, p) < 1e-9
+            pencil = assemble_pencil_from_representation_tree(tree)
+            check_determinant(pencil, p, rng, points=10, tol=1e-7)
