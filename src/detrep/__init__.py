@@ -55,7 +55,6 @@ from .solver import (
 from .twopar import (
     DeltaTriple,
     EigenSolution,
-    SingularDeltaError,
     StaircaseError,
     extract_regular_part,
     operator_determinants,
@@ -79,7 +78,6 @@ __all__ = [
     "Pencil",
     "RepresentationTree",
     "RootRecord",
-    "SingularDeltaError",
     "SolveOptions",
     "StaircaseError",
     "accuracy_measure",

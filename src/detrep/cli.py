@@ -45,23 +45,27 @@ def cmd_linearize(args) -> int:
         print(f"error: cannot read polynomial file {args.input!r}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 
-    if args.method == "lin1":
-        if args.sparse:
-            tree = monomial_tree.sparse_tree_heuristic(poly)
+    try:
+        if args.method == "lin1":
+            if args.sparse:
+                tree = monomial_tree.sparse_tree_heuristic(poly)
+            else:
+                tree = monomial_tree.generic_tree(poly.degree)
+            pencil = monomial_tree.assemble_pencil_from_monomial_tree(poly, tree)
+            tree_json = serialize.monomial_tree_to_json(tree)
         else:
-            tree = monomial_tree.generic_tree(poly.degree)
-        pencil = monomial_tree.assemble_pencil_from_monomial_tree(poly, tree)
-        tree_json = serialize.monomial_tree_to_json(tree)
-    else:
-        if args.sparse:
-            print("error: --sparse applies to method 'lin1' only", file=sys.stderr)
-            return EXIT_FAILURE
-        if isinstance(poly, MatrixBivariatePolynomial):
-            print("error: method 'lin2' supports scalar polynomials only", file=sys.stderr)
-            return EXIT_FAILURE
-        tree = representation_tree.build_tree(poly)
-        pencil = representation_tree.assemble_pencil_from_representation_tree(tree)
-        tree_json = serialize.representation_tree_to_json(tree)
+            if args.sparse:
+                print("error: --sparse applies to method 'lin1' only", file=sys.stderr)
+                return EXIT_FAILURE
+            if isinstance(poly, MatrixBivariatePolynomial):
+                print("error: method 'lin2' supports scalar polynomials only", file=sys.stderr)
+                return EXIT_FAILURE
+            tree = representation_tree.build_tree(poly)
+            pencil = representation_tree.assemble_pencil_from_representation_tree(tree)
+            tree_json = serialize.representation_tree_to_json(tree)
+    except ValueError as exc:  # a constant or zero polynomial has no tree
+        print(f"error: cannot linearize {args.input!r}: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
     payload = serialize.pencil_to_json(pencil)
     payload.update(method=args.method, tree=tree_json)
@@ -166,7 +170,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if worst <= args.tolerance else EXIT_FAILURE
 
 
-def _bench_row(n: int, seed: int, sizes_only: bool, opts: solver.SolveOptions) -> dict:
+def _bench_row(n: int, seed: int, sizes_only: bool, opts: solver.SolveOptions,
+               warnings: list[str]) -> dict:
+    """One table row; a method that raises DegenerateSystemError gets 0
+    roots and no accuracy, and its message goes to `warnings`."""
     rng = np.random.default_rng((seed, n))
     def rand_poly():
         table = np.zeros((n + 1, n + 1))
@@ -189,10 +196,14 @@ def _bench_row(n: int, seed: int, sizes_only: bool, opts: solver.SolveOptions) -
         return row
     for method in ("lin1", "lin2"):
         start = time.perf_counter()
-        records = solver.solve_system(p, q, dataclasses.replace(opts, linearization=method))
+        try:
+            records = solver.solve_system(p, q, dataclasses.replace(opts, linearization=method))
+        except solver.DegenerateSystemError as exc:
+            warnings.append(f"degree {n} {method}: {exc}")
+            records = []
         elapsed = time.perf_counter() - start
         row[f"{method}_roots"] = sum(r.multiplicity for r in records)
-        row[f"{method}_max_accuracy"] = max(r.accuracy for r in records)
+        row[f"{method}_max_accuracy"] = max((r.accuracy for r in records), default=None)
         row[f"{method}_seconds"] = elapsed
     return row
 
@@ -207,14 +218,17 @@ def cmd_bench(args) -> int:
     except (TypeError, ValueError) as exc:
         print(f"error: invalid bench options: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    rows = [_bench_row(n, args.seed, args.sizes_only, opts) for n in range(lo, hi + 1)]
+    warnings: list[str] = []
+    rows = [_bench_row(n, args.seed, args.sizes_only, opts, warnings) for n in range(lo, hi + 1)]
 
     headers = list(rows[0].keys())
     print("  ".join(f"{h:>18}" for h in headers))
     for row in rows:
         cells = []
         for h in headers:
-            val = row.get(h, "")
+            val = row.get(h)
+            if val is None:  # a method that raised has no accuracy
+                val = "-"
             if isinstance(val, float):
                 cells.append(f"{val:>18.3e}")
             else:
@@ -222,7 +236,9 @@ def cmd_bench(args) -> int:
         print("  ".join(cells))
     if args.output:
         serialize.dump(rows, args.output)
-    return EXIT_OK
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return EXIT_PARTIAL if warnings else EXIT_OK
 
 
 def _parse_degree_range(text: str):

@@ -227,7 +227,7 @@ def solve_system(
         ps, qs = (BivariatePolynomial(f.coeffs.T) for f in (p, q)) if swapped else (p, q)
         try:
             records = _solve_once(ps, qs, opts, diagnostics)
-        except (twopar.StaircaseError, twopar.SingularDeltaError) as exc:
+        except twopar.StaircaseError as exc:
             last_error = exc
             diagnostics.warnings.append(f"solve attempt failed: {exc}")
             continue

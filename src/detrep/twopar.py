@@ -33,10 +33,6 @@ DEFAULT_CLUSTER_TOL = 1e-8
 GAP_WARN_FACTOR = 10.0
 
 
-class SingularDeltaError(ValueError):
-    """delta0 is numerically singular; extract the regular part first."""
-
-
 def _svd(mat, compute_uv=True):
     """SVD with a fallback driver: the default divide-and-conquer LAPACK
     routine occasionally fails to converge on staircase blocks."""
@@ -179,6 +175,7 @@ def _eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def is_delta0_nonsingular(deltas: DeltaTriple, rank_tol: float | None = None) -> bool:
+    """The one regularity decision for the original delta0: σmin > rel·σmax."""
     m, k = deltas.shape
     if m != k:
         return False
@@ -189,12 +186,11 @@ def is_delta0_nonsingular(deltas: DeltaTriple, rank_tol: float | None = None) ->
     return bool(sv[-1] > rel * sv[0])
 
 
-def solve_regular(
-    deltas: DeltaTriple,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float | None = None,
-) -> list[EigenSolution]:
-    """All eigenvalue pairs of a regular coupled problem.
+def solve_regular(deltas: DeltaTriple,
+                  cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[EigenSolution]:
+    """All eigenvalue pairs of a coupled problem whose delta0 is known to be
+    square and nonsingular, by `is_delta0_nonsingular` or the staircase; an
+    empty block has none.
 
     x comes from the generalized problem (delta1, delta0).  Eigenvalues are
     clustered so that coinciding x values stay together; y is recovered per
@@ -202,11 +198,11 @@ def solve_regular(
     singleton this collapses to the least-squares quotient of delta2 w
     against delta0 w).
     """
-    if not is_delta0_nonsingular(deltas, rank_tol):
-        raise SingularDeltaError("delta0 is numerically singular")
-    m = deltas.shape[0]
-    if m == 0:
+    if deltas.delta0.size == 0:
         return []
+    m, k = deltas.shape
+    if m != k:
+        raise ValueError(f"a regular block is square, got {m}x{k}")
     xs, vecs = _eig(deltas.delta1, deltas.delta0)
 
     order = np.lexsort((xs.imag, xs.real))
@@ -342,13 +338,7 @@ def solve_full(
     """operator determinants -> rank test -> regular solve, with the
     staircase extraction in between when delta0 is singular."""
     deltas = operator_determinants(first, second)
-    try:
-        solutions = solve_regular(deltas, cluster_tol=cluster_tol, rank_tol=rank_tol)
-        return TwoParameterResult(solutions, deltas, deltas, None)
-    except SingularDeltaError:
-        pass
-    reduced, log = extract_regular_part(deltas, rank_tol=rank_tol)
-    solutions = []
-    if reduced.delta0.size:  # an empty (k x 0 or 0 x k) regular part has no eigenvalues
-        solutions = solve_regular(reduced, cluster_tol=cluster_tol, rank_tol=rank_tol)
-    return TwoParameterResult(solutions, deltas, reduced, log)
+    reduced, log = deltas, None
+    if not is_delta0_nonsingular(deltas, rank_tol):
+        reduced, log = extract_regular_part(deltas, rank_tol=rank_tol)
+    return TwoParameterResult(solve_regular(reduced, cluster_tol), deltas, reduced, log)

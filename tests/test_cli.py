@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from detrep import build_tree, cli, serialize, twopar
+from detrep import build_tree, cli, serialize, solver, twopar
 from detrep.polynomials import BivariatePolynomial
 from detrep.solver import linearize_polynomial
 
@@ -109,6 +109,18 @@ class TestLinearize:
         bad.write_text('{"degree": 2, "coeffs": [[1]]}')
         assert run(["linearize", str(bad)]) == 1
         assert "bad.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--method", "lin1"], ["--method", "lin1", "--sparse"],
+                                       ["--method", "lin2"]], ids=["lin1", "sparse", "lin2"])
+    @pytest.mark.parametrize("coeffs", [[[5]], [[0]]], ids=["constant", "zero"])
+    def test_constant_polynomial_is_an_error_not_a_traceback(self, tmp_path, capsys, flags, coeffs):
+        poly = tmp_path / "constant.json"
+        serialize.dump({"degree": 0, "coeffs": coeffs}, poly)
+        assert run(["linearize", str(poly), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot linearize {str(poly)!r}: ")
+        assert "at least 1" in captured.err
+        assert captured.out == ""
 
     def test_sparse_flag(self, tmp_path):
         poly = tmp_path / "sparse.json"
@@ -355,6 +367,29 @@ class TestBench:
         for r1, r2 in zip(rows1, rows2):
             assert r1["lin1_roots"] == r2["lin1_roots"]
             assert r1["lin2_roots"] == r2["lin2_roots"]
+
+    def test_degenerate_system_is_a_row_not_a_traceback(self, monkeypatch, capsys, tmp_path):
+        """A method that raises DegenerateSystemError gets 0 roots and no
+        accuracy in its row, with the same columns as a solved row."""
+        solve = solver.solve_system
+
+        def lin2_raises(p, q, opts=None, diagnostics=None):
+            if p.degree == 4 and opts.linearization == "lin2":
+                raise solver.DegenerateSystemError("no roots could be certified")
+            return solve(p, q, opts, diagnostics)
+
+        monkeypatch.setattr(solver, "solve_system", lin2_raises)
+        out = tmp_path / "bench.json"
+        assert run(["bench", "--degrees", "3..4", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "warning: degree 4 lin2: no roots could be certified\n"
+        rows = json.loads(out.read_text())
+        assert rows[0].keys() == rows[1].keys()
+        assert (rows[1]["lin2_roots"], rows[1]["lin2_max_accuracy"]) == (0, None)
+        assert (rows[0]["lin2_roots"], rows[1]["lin1_roots"]) == (9, 16)
+        assert rows[1]["lin1_max_accuracy"] <= 1e-8
+        header, _, degree_four = (line.split() for line in captured.out.splitlines())
+        assert degree_four[header.index("lin2_max_accuracy")] == "-"
 
     def test_rejects_out_of_range_degrees(self, capsys):
         assert run(["bench", "--degrees", "1..4"]) == 1

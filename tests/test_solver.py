@@ -304,7 +304,7 @@ class TestSolveSystem:
         assert diag.swapped and diag.candidates >= 16
 
         def failing(*args, **kwargs):
-            raise twopar.SingularDeltaError("delta0 is numerically singular")
+            raise twopar.StaircaseError("no regular part")
 
         monkeypatch.setattr(twopar, "solve_full", failing)
         with pytest.raises(DegenerateSystemError):

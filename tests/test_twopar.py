@@ -1,15 +1,20 @@
+import itertools
 import logging
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from detrep import (
+    BivariatePolynomial,
     DeltaTriple,
     MatrixBivariatePolynomial,
     Pencil,
-    SingularDeltaError,
     assemble_pencil_from_monomial_tree,
     extract_regular_part,
     generic_tree,
@@ -19,10 +24,21 @@ from detrep import (
     solve_system,
 )
 from detrep import twopar
-from detrep.twopar import StaircaseLog, _decide_rank, _eig, is_delta0_nonsingular, solve_full
+from detrep.twopar import (
+    StaircaseLog,
+    _decide_rank,
+    _default_rank_tol,
+    _eig,
+    is_delta0_nonsingular,
+    solve_full,
+)
 
 from oracles import naive_kron, resultant_roots
 from test_polynomials import random_polynomial
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def pencil_pair(a1, b1, c1, a2, b2, c2):
@@ -182,10 +198,14 @@ class TestSolveRegular:
             want = np.vdot(d0w, deltas.delta2 @ s.w) / np.vdot(d0w, d0w)
             assert abs(s.y - want) <= 1e-12 * max(1.0, abs(want))
 
-    def test_singular_delta0_raises(self):
-        deltas = DeltaTriple(np.zeros((2, 2)), np.eye(2), np.eye(2))
-        with pytest.raises(SingularDeltaError):
+    def test_non_square_block_raises(self):
+        deltas = DeltaTriple(*np.ones((3, 3, 2)))
+        with pytest.raises(ValueError, match="3x2"):
             solve_regular(deltas)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3)])
+    def test_empty_block_has_no_solutions(self, shape):
+        assert solve_regular(DeltaTriple(*np.zeros((3, *shape)))) == []
 
 
 class TestEig:
@@ -439,3 +459,44 @@ class TestSolveFull:
         assert result.staircase is not None
         assert len(result.staircase.steps) >= 1
         assert len(result.solutions) == 9
+
+    def test_cubic_auto_153_keeps_the_relative_test(self):
+        """cubic-auto seed-0 system 153 (also small-auto 459): delta0's
+        singular values fall in three groups, 2e3-4e3, 3-5 and 4e-5-7e-5.
+        The relative test calls it nonsingular and all 9 roots come back;
+        the staircase's absolute rule, at its own cutoff, keeps rank 6, and
+        the staircase run on it ends in a 6 x 6 block.  So the first
+        decision stays relative."""
+        stream = workloads.systems(workloads.WORKLOADS["cubic-auto"], 0)
+        p, q = (BivariatePolynomial(t) for t in next(itertools.islice(stream, 153, None)))
+        result = solve_full(linearize(p), linearize(q))
+        assert result.staircase is None and len(result.solutions) == 9
+        assert sum(r.multiplicity for r in solve_system(p, q)) == 9
+        deltas = result.deltas
+        sv = np.linalg.svd(deltas.delta0, compute_uv=False)
+        scale = max(np.linalg.norm(d, 2) for d in (deltas.delta0, deltas.delta1, deltas.delta2))
+        cutoff = _default_rank_tol(deltas.shape) * scale
+        assert _decide_rank(sv, cutoff, StaircaseLog(), "delta0")[0] == 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["lin1", "lin2", "tall"]), st.integers(2, 5), st.integers(2, 5),
+    st.sampled_from([None, 1e-10]), st.integers(0, 2**32 - 1),
+)
+def test_every_regular_block_passes_the_relative_test(kind, n1, n2, rank_tol, seed):
+    """The staircase stops only at a square block whose singular values all
+    exceed rank_tol times the original scale, so the block passes the
+    relative test that `solve_full` applies to the original delta0, and
+    `solve_regular` need not test it again."""
+    if kind == "tall":
+        deltas = tall_triple(seed % 15)[0]
+    else:
+        rng = np.random.default_rng(seed)
+        p, q = random_polynomial(rng, n1), random_polynomial(rng, n2)
+        deltas = operator_determinants(*(lin1_problem(p, q) if kind == "lin1"
+                                         else (linearize(p), linearize(q))))
+    reduced, _ = extract_regular_part(deltas, rank_tol=rank_tol)
+    if reduced.delta0.size:
+        assert reduced.shape[0] == reduced.shape[1]
+        assert is_delta0_nonsingular(reduced, rank_tol)
