@@ -119,6 +119,7 @@ def cmd_solve(args) -> int:
         steps = result.staircase.steps if result.staircase is not None else []
         dump = {
             "swapped": diagnostics.swapped,
+            "arithmetic": "real" if np.isrealobj(result.deltas.delta0) else "complex",
             "delta0": serialize._matrix_to_json(result.deltas.delta0),
             "delta1": serialize._matrix_to_json(result.deltas.delta1),
             "delta2": serialize._matrix_to_json(result.deltas.delta2),
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--residual-accept", type=float, default=None)
     p_solve.add_argument("--dump-deltas", metavar="PATH",
                          help="dump the operator determinants of the orientation "
-                         "that gave the roots to a JSON file")
+                         "that gave the roots, and their arithmetic, to a JSON file")
     p_solve.add_argument("--output", help="write the roots JSON here instead of stdout")
     p_solve.set_defaults(func=cmd_solve)
 

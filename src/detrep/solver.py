@@ -112,44 +112,48 @@ def _evaluate(tables, x, y):
     return fx, np.hypot(fx.real, fx.imag), jac, sv
 
 
-def _measure(tables, x, y):
-    """At each point: |p| and |q|, the residual max(|p|, |q|), the spectral
-    norm of the inverse Jacobian and the residual times it (the accuracy);
-    the last two are infinite where the Jacobian is singular."""
-    _, absf, _, sv = _evaluate(tables, x, y)
+def _measure(absf, sv):
+    """From |p|, |q| and the Jacobian's singular values at each point: the
+    residual max(|p|, |q|), the spectral norm of the inverse Jacobian and
+    the residual times it (the accuracy); the last two are infinite where
+    the Jacobian is singular."""
     residual = absf.max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         condition = 1.0 / sv[:, 1]
-        return absf, residual, condition, np.where(sv[:, 1] > 0, residual * condition, np.inf)
+        return residual, condition, np.where(sv[:, 1] > 0, residual * condition, np.inf)
 
 
 def _polish(tables, scale, x, y, steps):
     """`steps` Newton iterations on every point at once.  Per point and per
     step: a singular Jacobian stops it with refined=False, a residual at
-    machine scale stops it, and otherwise it takes one step."""
+    machine scale stops it, and otherwise it takes one step.  Also returns
+    `_evaluate`'s |p|, |q| and σ at the points, each evaluated once per move."""
     x, y = x.copy(), y.copy()
     refined = np.ones(x.shape, dtype=bool)
-    live = np.arange(x.size)
-    for _ in range(steps):
+    absf, sv = np.empty((x.size, 2)), np.empty((x.size, 2))
+    live = np.arange(x.size)  # the points not yet evaluated where they are
+    for step_index in range(steps + 1):
         if live.size == 0:
             break
-        fx, absf, jac, sv = _evaluate(tables, x[live], y[live])
+        fx, absf[live], jac, sv[live] = _evaluate(tables, x[live], y[live])
+        if step_index == steps:
+            break
         # likely a multiple root; Newton cannot certify progress here
-        singular = sv[:, 1] == 0
+        singular = sv[live, 1] == 0
         refined[live[singular]] = False
-        step = ~singular & ~(absf.max(axis=1) <= 1e2 * np.finfo(float).eps * scale)
+        step = ~singular & ~(absf[live].max(axis=1) <= 1e2 * np.finfo(float).eps * scale)
         delta = np.linalg.solve(jac[step], fx[step, :, None])[..., 0]
         live = live[step]
         x[live] -= delta[:, 0]
         y[live] -= delta[:, 1]
-    return x, y, refined
+    return x, y, refined, absf, sv
 
 
 def accuracy_measure(p: BivariatePolynomial, q: BivariatePolynomial, x, y) -> float:
     """max(|p|, |q|) times the spectral norm of the inverse Jacobian;
     infinity when the Jacobian is singular."""
-    point = np.array([complex(x)]), np.array([complex(y)])
-    return float(_measure(_stack_tables(p, q), *point)[3][0])
+    _, absf, _, sv = _evaluate(_stack_tables(p, q), np.array([complex(x)]), np.array([complex(y)]))
+    return float(_measure(absf, sv)[2][0])
 
 
 def newton_refine(
@@ -160,7 +164,7 @@ def newton_refine(
     returns the current point with refined=False."""
     point = np.array([complex(x0)]), np.array([complex(y0)])
     scale = max(p.coeff_norm(), q.coeff_norm(), 1.0)
-    x, y, refined = _polish(_stack_tables(p, q), scale, *point, steps)
+    x, y, refined, _, _ = _polish(_stack_tables(p, q), scale, *point, steps)
     return complex(x[0]), complex(y[0]), bool(refined[0])
 
 
@@ -181,7 +185,8 @@ def _dedupe(records: list[RootRecord], tol: float) -> list[RootRecord]:
 def _solve_once(p, q, opts: SolveOptions, diagnostics: SolveDiagnostics):
     diagnostics.result = None
     pencils = (linearize_polynomial(f, opts.linearization) for f in (p, q))
-    result = twopar.solve_full(*pencils, cluster_tol=opts.cluster_tol, rank_tol=opts.rank_tol)
+    result = twopar.solve_full(*pencils, cluster_tol=opts.cluster_tol, rank_tol=opts.rank_tol,
+                               max_roots=p.degree * q.degree)
     diagnostics.result = result
     if result.staircase is not None:
         diagnostics.warnings.extend(result.staircase.warnings)
@@ -190,9 +195,10 @@ def _solve_once(p, q, opts: SolveOptions, diagnostics: SolveDiagnostics):
     finite = np.isfinite(xs) & np.isfinite(ys)
     scale = max(p.coeff_norm(), q.coeff_norm())
     tables = _stack_tables(p, q)
-    x, y, refined = _polish(tables, max(scale, 1.0), xs[finite], ys[finite], opts.newton_steps)
+    x, y, refined, absf, sv = _polish(tables, max(scale, 1.0), xs[finite], ys[finite],
+                                      opts.newton_steps)
     refined &= opts.newton_steps > 0
-    absf, residual, condition, accuracy = _measure(tables, x, y)
+    residual, condition, accuracy = _measure(absf, sv)
     # backward-error filter: the natural residual scale at (x, y) grows
     # like the largest monomial, so roots far outside the unit bidisk
     # are judged relative to scale * max(1, |x|, |y|)**degree
@@ -241,6 +247,11 @@ def solve_system(
                     f"{singular} of {len(records)} roots have a singular Jacobian "
                     "(accuracy inf): a multiple root or a curve of common zeros"
                 )
+            # a finite error bound this large leaves no correct digit
+            loose = sum(max(1.0, abs(r.x), abs(r.y)) <= r.accuracy < math.inf for r in records)
+            if loose:
+                diagnostics.warnings.append(f"{loose} of {len(records)} roots have an error "
+                                            "bound as large as the root")
             return sorted(records, key=lambda r: r.accuracy)
         diagnostics.warnings.append(
             ("no candidate passed the residual filter" if diagnostics.candidates

@@ -12,7 +12,7 @@ When delta0 is nonsingular the coupled problems share eigenvectors and
 deliver all n1*n2 eigenvalue pairs; otherwise a staircase-style sequence of
 SVD-based unitary compressions, each turning the triple by one singular
 factor of delta0, peels off the singular structure until a square block
-with nonsingular delta0 remains.
+with nonsingular delta0 remains.  Real pencils stay real up to the eigensolve.
 """
 
 from __future__ import annotations
@@ -48,14 +48,17 @@ class StaircaseError(RuntimeError):
 
 @dataclass(frozen=True)
 class DeltaTriple:
+    """The operator determinants: float64 if all three are, else complex."""
+
     delta0: np.ndarray
     delta1: np.ndarray
     delta2: np.ndarray
 
     def __post_init__(self):
-        for name in ("delta0", "delta1", "delta2"):
-            mat = np.asarray(getattr(self, name), dtype=complex)
-            object.__setattr__(self, name, mat)
+        mats = [np.asarray(mat) for mat in (self.delta0, self.delta1, self.delta2)]
+        dtype = float if all(mat.dtype == np.float64 for mat in mats) else complex
+        for name, mat in zip(("delta0", "delta1", "delta2"), mats):
+            object.__setattr__(self, name, mat.astype(dtype, copy=False))
         if not (self.delta0.shape == self.delta1.shape == self.delta2.shape):
             raise ValueError("delta matrices must share their shape")
 
@@ -93,9 +96,12 @@ class StaircaseLog:
 
 
 def operator_determinants(first: Pencil, second: Pencil) -> DeltaTriple:
-    """Kronecker assembly of the three operator determinants of two pencils."""
+    """Kronecker assembly of the three operator determinants of two pencils,
+    in real arithmetic when all six matrices are exactly real."""
     n = first.dim * second.dim
     mats1, mats2 = (first.A, first.B, first.C), (second.A, second.B, second.C)
+    if not any(np.count_nonzero(mat.imag) for mat in mats1 + mats2):
+        mats1, mats2 = [mat.real for mat in mats1], [mat.real for mat in mats2]
 
     def kron(i, j):  # np.kron(mats1[i], mats2[j]), without its overhead
         return (mats1[i][:, None, :, None] * mats2[j][None, :, None, :]).reshape(n, n)
@@ -134,9 +140,9 @@ def _decide_rank(sv: np.ndarray, cutoff: float, log: StaircaseLog, context: str)
     """
     if sv.size == 0:
         return 0, 0.0, 0.0, False
-    rank = int(np.sum(sv > cutoff))
-    certain = int(np.sum(sv > cutoff * RANK_ZONE))
-    plausible = int(np.sum(sv > cutoff / RANK_ZONE))
+    # the values strictly above each threshold; LAPACK sorts sv largest first
+    certain, rank, plausible = np.searchsorted(
+        -sv, (-cutoff * RANK_ZONE, -cutoff, -cutoff / RANK_ZONE)).tolist()
     if plausible > certain:
         best_rank, best_ratio = rank, 0.0
         for r in range(max(certain, 1), min(rank, sv.size - 1) + 1):
@@ -158,9 +164,9 @@ def _decide_rank(sv: np.ndarray, cutoff: float, log: StaircaseLog, context: str)
 
 
 def _eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and unit-norm right eigenvectors of the complex pencil
-    (a, b), as scipy's generalized `eig` gives them, straight from LAPACK
-    ggev: alpha/beta, inf where only beta vanishes, nan where both do."""
+    """Eigenvalues and unit-norm right eigenvectors of the pencil (a, b) as
+    complex, as scipy's generalized `eig` gives them, straight from LAPACK
+    zggev: alpha/beta, inf where only beta vanishes, nan where both do."""
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     # the queried workspace keeps ggev's blocked QR, and so its rounding,
@@ -269,7 +275,7 @@ def extract_regular_part(
     """
     ds = [deltas.delta0, deltas.delta1, deltas.delta2]
     m, k = deltas.shape
-    left, right = np.eye(m, dtype=complex), np.eye(k, dtype=complex)
+    left, right = np.eye(m, dtype=ds[0].dtype), np.eye(k, dtype=ds[0].dtype)
     log = StaircaseLog()
     budget = max(m * k, 1)
     rel = rank_tol if rank_tol is not None else _default_rank_tol((m, k))
@@ -334,11 +340,15 @@ def solve_full(
     second: Pencil,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     rank_tol: float | None = None,
+    max_roots: int | None = None,
 ) -> TwoParameterResult:
     """operator determinants -> rank test -> regular solve, with the
-    staircase extraction in between when delta0 is singular."""
+    staircase extraction in between when delta0 is singular.  A nonsingular
+    N x N delta0 gives N common roots, so N > max_roots (the Bezout bound
+    deg p * deg q) decides that it is singular without the rank test."""
     deltas = operator_determinants(first, second)
     reduced, log = deltas, None
-    if not is_delta0_nonsingular(deltas, rank_tol):
+    bezout_singular = max_roots is not None and deltas.shape[0] > max_roots
+    if bezout_singular or not is_delta0_nonsingular(deltas, rank_tol):
         reduced, log = extract_regular_part(deltas, rank_tol=rank_tol)
     return TwoParameterResult(solve_regular(reduced, cluster_tol), deltas, reduced, log)

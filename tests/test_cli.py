@@ -205,6 +205,40 @@ class TestSolve:
         assert dumped["swapped"] is True
         assert dumped["staircase"][0]["shape"] == [64, 64]
 
+    @pytest.mark.parametrize("method, arithmetic", [("lin1", "real"), ("lin2", "complex")])
+    def test_dump_deltas_names_the_arithmetic(self, system_file, tmp_path, method, arithmetic):
+        """Monomial-tree pencils of real polynomials are real; the lin2
+        pencils of this pair carry complex shear roots."""
+        out, deltas = tmp_path / "roots.json", tmp_path / "deltas.json"
+        code = run(["solve", system_file, "--method", method,
+                    "--output", str(out), "--dump-deltas", str(deltas)])
+        assert code == 0
+        dumped = json.loads(deltas.read_text())
+        assert dumped["arithmetic"] == arithmetic
+        imag = np.abs(serialize._matrix_from_json(dumped["delta0"]).imag).max()
+        assert (imag == 0) == (arithmetic == "real")
+
+    def test_roots_without_a_correct_digit_are_a_partial_result(self, tmp_path, capsys):
+        """(x - 1)^3, (y - 1)^3 has the one triple root (1, 1); the lin1
+        staircase returns nine candidates near x = 1 with y far from 1, and
+        a residual filter loosened to 1 lets them through.  Their error
+        bounds exceed max(1, |x|, |y|), so the solve warns and exits 2."""
+        p = BivariatePolynomial.from_terms({(3, 0): 1, (2, 0): -3, (1, 0): 3, (0, 0): -1})
+        q = BivariatePolynomial(p.coeffs.T)
+        path = tmp_path / "triple.json"
+        serialize.dump({"p": serialize.polynomial_to_json(p),
+                        "q": serialize.polynomial_to_json(q)}, path)
+        out = tmp_path / "roots.json"
+        code = run(["solve", str(path), "--method", "lin1", "--residual-accept", "1",
+                    "--output", str(out)])
+        roots = json.loads(out.read_text())
+        assert code == 2
+        loose = [r for r in roots
+                 if r["accuracy"] >= max(1.0, abs(complex(*r["x"])), abs(complex(*r["y"])))]
+        assert loose
+        assert (f"{len(loose)} of {len(roots)} roots have an error bound as large as the root"
+                in capsys.readouterr().err)
+
     def test_exact_singular_root_written_without_nan(self, tmp_path):
         doc = {
             "p": serialize.polynomial_to_json(BivariatePolynomial.from_terms({(2, 0): 1.0})),

@@ -71,8 +71,8 @@ def test_batch_polish_matches_scalar_reference(dp, dq, swap, x0, y0, steps, seed
 
     tables = solver._stack_tables(p, q)
     scale = max(p.coeff_norm(), q.coeff_norm(), 1.0)
-    x, y, refined = solver._polish(tables, scale, xs, ys, steps)
-    accuracy = solver._measure(tables, x, y)[3]
+    x, y, refined, absf, sv = solver._polish(tables, scale, xs, ys, steps)
+    accuracy = solver._measure(absf, sv)[2]
 
     pd, qd = partial_derivatives(p), partial_derivatives(q)
     for i in range(xs.size):
@@ -130,8 +130,10 @@ def test_exact_singular_root_raises_no_warning(method):
 
 
 def test_no_per_root_svd_or_scalar_evaluation(monkeypatch):
-    """A dense cubic on the regular path: one rank test, one SVD stack per
-    Newton step and one for the accuracy, and no scalar evaluation."""
+    """A dense cubic on the regular path whose candidates all stop at
+    Newton's step 0 (residuals at machine scale): one rank test, one SVD
+    stack that serves Newton and the accuracy together, and no scalar
+    evaluation."""
     counts = {"svd": 0, "call": 0}
     svd, call = np.linalg.svd, BivariatePolynomial.__call__
 
@@ -143,7 +145,7 @@ def test_no_per_root_svd_or_scalar_evaluation(monkeypatch):
         counts["call"] += 1
         return call(self, x, y)
 
-    rng = np.random.default_rng(41)
+    rng = np.random.default_rng(51)
     p, q = random_polynomial(rng, 3), random_polynomial(rng, 3)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(BivariatePolynomial, "__call__", counting_call)
@@ -153,8 +155,34 @@ def test_no_per_root_svd_or_scalar_evaluation(monkeypatch):
     assert diag.result.deltas.shape[0] == diag.result.reduced.shape[0] == 9
     assert diag.result.staircase is None
     assert not diag.swapped
-    assert counts["svd"] <= 4
+    assert counts["svd"] == 2
     assert counts["call"] <= 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6), st.integers(1, 6), quarter, quarter, st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_polish_returns_the_evaluation_at_its_points(dp, dq, x0, y0, steps, seed):
+    """|p|, |q| and the Jacobian's singular values that `_polish` returns
+    are, bit for bit, a fresh evaluation of all returned points at once,
+    although it evaluated each point only when it had moved: the root and
+    the singular origin stop at once, the other points move."""
+    rng = np.random.default_rng(seed)
+    p_table = integer_table(rng, dp)
+    p_table[1, 0] = p_table[0, 1] = 0
+    p, q = through(p_table, x0, y0), through(integer_table(rng, dq), x0, y0)
+    near = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+    xs = np.concatenate([[x0, 0j], x0 + near[0] * 10.0 ** rng.uniform(-4, 0, size=6)])
+    ys = np.concatenate([[y0, 0j], y0 + near[1] * 10.0 ** rng.uniform(-4, 0, size=6)])
+
+    tables = solver._stack_tables(p, q)
+    scale = max(p.coeff_norm(), q.coeff_norm(), 1.0)
+    x, y, _, absf, sv = solver._polish(tables, scale, xs, ys, steps)
+    _, fresh_absf, _, fresh_sv = solver._evaluate(tables, x, y)
+    assert np.array_equal(absf, fresh_absf)
+    assert np.array_equal(sv, fresh_sv)
 
 
 def test_non_finite_candidates_are_counted_as_rejected(monkeypatch):

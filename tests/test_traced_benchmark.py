@@ -18,23 +18,23 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 EXACT_COUNTS = {
-    # lin1 conics: one failed rank test on the 9 x 9 deltas, then a 2-step
-    # staircase to the 4 roots; dense input, so the sparse tree is the
-    # generic one
+    # lin1 conics: the 9 x 9 deltas exceed the Bezout bound of 4, so no
+    # rank test, and a 2-step staircase to the 4 roots; dense input, so the
+    # sparse tree is the generic one
     "quadric-lin1": {
         "twopar.staircase_steps": 2.0,
-        "twopar.rank_test_calls": 1.0,
+        "twopar.rank_test_calls": 0.0,
         "twopar.reduced_dim": 4.0,
         "pencils.size.generic": 3.0,
         "pencils.size.sparse": 3.0,
         "pencils.size.representation": 2.0,
     },
-    # lin1 cubics: one failed rank test, then a 3-step staircase from the
+    # lin1 cubics: no rank test (25 > 9), then a 3-step staircase from the
     # 25 x 25 deltas to the 9 roots, in the first orientation; a step that
     # flips a rank decision on any counted system changes these
     "cubic-lin1": {
         "twopar.staircase_steps": 3.0,
-        "twopar.rank_test_calls": 1.0,
+        "twopar.rank_test_calls": 0.0,
         "twopar.delta_dim": 25.0,
         "twopar.reduced_dim": 9.0,
         "solver.attempts": 1.0,
@@ -42,8 +42,9 @@ EXACT_COUNTS = {
         "pencils.size.sparse": 5.0,
         "pencils.size.representation": 3.0,
     },
-    # lin2 cubics: the regular path, one rank test and no staircase; the
-    # size-3 special representation tree
+    # lin2 cubics: the regular path, one rank test (the 9 x 9 deltas are at
+    # the Bezout bound) and no staircase; the size-3 special representation
+    # tree
     "cubic-auto": {
         "twopar.staircase_steps": 0.0,
         "twopar.rank_test_calls": 1.0,
