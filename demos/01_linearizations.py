@@ -79,9 +79,9 @@ verify(pencil, "recursive")
 
 rep = build_tree(p)
 pencil = assemble_pencil_from_representation_tree(rep)
-substitution = rep.composed_substitution()
+(shear,) = rep.substitution_steps
 print("\nchange of variables: x = x' + s y' + t with")
-print("   s =", np.round(substitution.linear[0, 1], 6))
-print("   t =", np.round(substitution.shift[0], 6))
+print("   s =", np.round(shear.params["s"], 6))
+print("   t =", np.round(shear.params["t"], 6))
 show(pencil, "3 x 3 special-case pencil")
 verify(pencil, "cubic special case")

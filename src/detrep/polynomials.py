@@ -9,6 +9,9 @@ detected by scanning.
 
 from __future__ import annotations
 
+import cmath
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,14 @@ class LeadingCoefficientError(ValueError):
     must deflate the degree before asking for roots."""
 
 
+@functools.cache
+def _band(size: int) -> np.ndarray:
+    """Read-only table of j + k, shared by every polynomial of that size."""
+    band = np.add.outer(np.arange(size), np.arange(size))
+    band.flags.writeable = False
+    return band
+
+
 def _trim_table(table: np.ndarray, mags: np.ndarray) -> np.ndarray:
     """Return the square table cut down to the exact degree.
 
@@ -42,7 +53,7 @@ def _trim_table(table: np.ndarray, mags: np.ndarray) -> np.ndarray:
     top = mags.max() if size else 0.0
     if top == 0.0:
         return np.zeros((1, 1) + table.shape[2:], dtype=complex)
-    band = np.add.outer(np.arange(size), np.arange(size))
+    band = _band(size)
     degree = int(band[(band < size) & (mags > DEGREE_TRIM_REL * top)].max(initial=0))
     head = slice(0, degree + 1)
     out = table[head, head].copy()
@@ -161,16 +172,13 @@ class AffineSubstitution:
     def __post_init__(self):
         e = np.asarray(self.linear, dtype=complex).reshape(2, 2)
         t = np.asarray(self.shift, dtype=complex).reshape(2)
-        if not (np.isfinite(e).all() and np.isfinite(t).all()):
+        (a, b), (c, d) = e.tolist()
+        if not all(map(cmath.isfinite, (a, b, c, d, *t.tolist()))):
             raise ValueError("substitution must be finite")
-        if e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0] == 0.0:
+        if a * d - b * c == 0.0:
             raise ValueError("substitution matrix must be invertible")
         object.__setattr__(self, "linear", e)
         object.__setattr__(self, "shift", t)
-
-    @classmethod
-    def identity(cls) -> "AffineSubstitution":
-        return cls(np.eye(2), np.zeros(2))
 
     @classmethod
     def shear_x(cls, s: complex, t: complex) -> "AffineSubstitution":
@@ -183,8 +191,14 @@ class AffineSubstitution:
         return cls(np.array([[1.0, 0.0], [u, 1.0]]), np.array([0.0, v]))
 
     def inverse(self) -> "AffineSubstitution":
-        e_inv = np.linalg.inv(self.linear)
-        return AffineSubstitution(e_inv, -e_inv @ self.shift)
+        """The map back, in closed form: the adjugate times the reciprocal
+        of the determinant, exact for a shear's unit determinant."""
+        (a, b), (c, d) = self.linear.tolist()
+        t0, t1 = self.shift.tolist()
+        r = 1.0 / (a * d - b * c)
+        e = ((d * r, -b * r), (-c * r, a * r))
+        shift = [-(row[0] * t0 + row[1] * t1) for row in e]
+        return AffineSubstitution(np.array(e), np.array(shift))
 
     def compose(self, inner: "AffineSubstitution") -> "AffineSubstitution":
         """Map applying `inner` first: (x,y) = self(inner(x'', y''))."""
@@ -264,11 +278,12 @@ def substitute_table(
     acc = np.zeros((n + 1, n + 1), dtype=complex)[:rows, :cols]
     for j in range(n, -1, -1):
         if moves_x:
-            acc = times_linear(acc, t[0], e[0, 0], e[0, 1]) + part[j]
+            acc = times_linear(acc, t[0], e[0, 0], e[0, 1])
         else:
             shifted = np.zeros_like(acc)
             shifted[1:] = acc[:-1]
-            acc = shifted + part[j]
+            acc = shifted
+        acc += part[j]
     return acc
 
 
@@ -283,8 +298,11 @@ def univariate_roots(coeffs) -> np.ndarray:
     c = np.asarray(coeffs, dtype=complex).ravel()
     if c.size < 2:
         raise ValueError("need at least a degree-1 polynomial")
-    scale = np.abs(c).max()
-    if scale == 0.0 or abs(c[-1]) <= DEGREE_TRIM_REL * scale:
+    mags = [abs(v) for v in c.tolist()]
+    if not all(map(math.isfinite, mags)):  # nan as well as inf, at every degree
+        raise np.linalg.LinAlgError("coefficients must be finite")
+    scale = max(mags)
+    if scale == 0.0 or mags[-1] <= DEGREE_TRIM_REL * scale:
         raise LeadingCoefficientError(
             "leading coefficient vanishes; deflate the degree before rootfinding"
         )
@@ -293,8 +311,6 @@ def univariate_roots(coeffs) -> np.ndarray:
     if m == 1:
         roots = np.array([-monic[0]], dtype=complex)
     else:
-        if not np.isfinite(scale):
-            raise np.linalg.LinAlgError("coefficients must be finite")
         companion = np.zeros((m, m), dtype=complex)
         companion.flat[m :: m + 1] = 1.0  # the subdiagonal
         companion[:, -1] = -monic[:-1]
@@ -303,11 +319,10 @@ def univariate_roots(coeffs) -> np.ndarray:
             raise np.linalg.LinAlgError(f"eigenvalues did not converge (zgeev info {info})")
     # quantize the modulus and real-part keys so that roots equal up to
     # rounding noise actually reach the tie-breaks
-    quantum = 1e-12 * max(np.abs(roots).max(), 1e-300)
-    order = np.lexsort(
-        (roots.imag, np.round(roots.real / quantum), np.round(np.abs(roots) / quantum))
-    )
-    return roots[order]
+    roots = roots.tolist()
+    quantum = 1e-12 * max(max(map(abs, roots)), 1e-300)
+    roots.sort(key=lambda r: (round(abs(r) / quantum), round(r.real / quantum), r.imag))
+    return np.array(roots)
 
 
 def partial_derivatives(

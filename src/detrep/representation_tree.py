@@ -53,12 +53,10 @@ class LinearForm:
 
     def compose(self, sub: AffineSubstitution) -> "LinearForm":
         """The form expressed in the new variables of the substitution."""
-        e, t = sub.linear, sub.shift
-        return LinearForm(
-            self.a + self.b * t[0] + self.c * t[1],
-            self.b * e[0, 0] + self.c * e[1, 0],
-            self.b * e[0, 1] + self.c * e[1, 1],
-        )
+        (e00, e01), (e10, e11) = sub.linear.tolist()
+        t0, t1 = sub.shift.tolist()
+        b, c = self.b, self.c
+        return LinearForm(self.a + b * t0 + c * t1, b * e00 + c * e10, b * e01 + c * e11)
 
 
 @dataclass(frozen=True)
@@ -109,16 +107,13 @@ class RepresentationTree:
         for i in range(1, len(self)):
             e = self.edges[i]
             nodes.append(times_linear(nodes[self.parents[i]], e.a, e.b, e.c))
+        # the root's product with its form is the form itself
+        root = self.coeffs[0]
         total = np.zeros((size, size), dtype=complex)
-        for f, table in zip(self.coeffs, nodes):
+        total[0, 0], total[1, 0], total[0, 1] = root.a, root.b, root.c
+        for f, table in zip(self.coeffs[1:], nodes[1:]):
             if not f.is_zero:
                 total += times_linear(table, f.a, f.b, f.c)
-        return total
-
-    def composed_substitution(self) -> AffineSubstitution:
-        total = AffineSubstitution.identity()
-        for step in self.substitution_steps:
-            total = total.compose(step.map)
         return total
 
 
@@ -144,20 +139,13 @@ def assemble_pencil_from_representation_tree(tree: RepresentationTree) -> Pencil
 # -- construction ----------------------------------------------------------------
 
 
-def _coeff_at(p: BivariatePolynomial, j: int, k: int) -> complex:
-    if j <= p.degree and k <= p.degree - j:
-        return complex(p.coeffs[j, k])
-    return 0.0 + 0.0j
-
-
 def _top_slice(p: BivariatePolynomial) -> np.ndarray:
     """Coefficients of the univariate polynomial whose zeros steer the main
     branch: entry i multiplies t**i and equals the x^i y^(n-i) coefficient."""
-    n = p.degree
-    return np.array([p.coeffs[i, n - i] for i in range(n + 1)], dtype=complex)
+    return p.coeffs[:, ::-1].diagonal().copy()
 
 
-def _pick_rotation(p: BivariatePolynomial) -> complex:
+def _pick_rotation(p: BivariatePolynomial, norm: float) -> complex:
     """gamma making the x^n coefficient of p(x, y + gamma x) largest among a
     few small candidates."""
     top = _top_slice(p)
@@ -168,38 +156,38 @@ def _pick_rotation(p: BivariatePolynomial) -> complex:
         val = abs(np.polyval(top, gamma))
         if val > best_val:
             best, best_val = gamma, val
-    if best_val <= DEGREE_TRIM_REL * p.coeff_norm():  # pragma: no cover
+    if best_val <= DEGREE_TRIM_REL * norm:  # pragma: no cover
         raise DegenerateInputError("cannot make the leading x-coefficient nonzero")
     return best
 
 
-def _rotate_leading_x(p: BivariatePolynomial):
-    """p with a nonzero x^n coefficient, plus the rotate_y step that made it
-    so (an empty tuple when the coefficient is already nonzero)."""
-    if abs(_coeff_at(p, p.degree, 0)) > DEGREE_TRIM_REL * p.coeff_norm():
-        return p, ()
-    gamma = _pick_rotation(p)
+def _rotate_leading_x(p: BivariatePolynomial, norm: float):
+    """p (of coefficient norm `norm`) with a nonzero x^n coefficient, its
+    norm, and the rotate_y step that made it so (none if it was nonzero)."""
+    if abs(p.coeffs[p.degree, 0]) > DEGREE_TRIM_REL * norm:
+        return p, norm, ()
+    gamma = _pick_rotation(p, norm)
     rot = AffineSubstitution.shear_y(gamma, 0.0)
-    return p.substitute(rot), (SubstitutionStep("rotate_y", rot, {"gamma": gamma}),)
+    work = p.substitute(rot)
+    return work, work.coeff_norm(), (SubstitutionStep("rotate_y", rot, {"gamma": gamma}),)
 
 
-def _undo_substitutions(tree: RepresentationTree, steps: tuple) -> RepresentationTree:
-    """Tree built in the variables after `steps`, expressed in the ones
-    before them; the steps go in front of the tree's own, which the tree
-    has already undone."""
-    total = AffineSubstitution.identity()
-    for step in steps:
-        total = total.compose(step.map)
-    back = total.inverse()
+def _undo_substitutions(parents, edges, coeffs, steps, own_steps=()) -> RepresentationTree:
+    """The tree of these fields, built in the variables after `steps`, in the
+    ones before them; its forms have already undone its `own_steps`.  The
+    map back composes the steps' exact inverses."""
+    back = steps[-1].map.inverse()
+    for step in steps[-2::-1]:
+        back = back.compose(step.map.inverse())
     return RepresentationTree(
-        tree.parents,
-        tuple(None if e is None else e.compose(back) for e in tree.edges),
-        tuple(f.compose(back) for f in tree.coeffs),
-        steps + tree.substitution_steps,
+        parents,
+        (None,) + tuple(e.compose(back) for e in edges[1:]),
+        tuple(f.compose(back) for f in coeffs),
+        steps + own_steps,
     )
 
 
-def _simple_roots(roots: np.ndarray) -> list[complex]:
+def _simple_roots(roots: list[complex]) -> list[complex]:
     # a numerical m-fold root splits into a cluster of diameter about
     # eps**(1/m) (6e-6 for a triple root), so the separation threshold must
     # sit well above that; near-coincident roots would blow up the shift
@@ -211,46 +199,56 @@ def _simple_roots(roots: np.ndarray) -> list[complex]:
             default=np.inf,
         )
         if sep > 1e-4 * (1.0 + abs(r)):
-            out.append(complex(r))
+            out.append(r)
     return out
 
 
-def _shear(p: BivariatePolynomial, along_y: bool):
-    """p after x = x' + s y' + t killing its y'^n and y'^(n-1) coefficients,
-    with the recorded step; along_y, after y = u x' + y' + v killing x'^n
-    and x'^(n-1) (the same rule on the transposed table).  None when no
-    simple root of the steering slice gives a usable shift.
+def _shear(p: BivariatePolynomial, along_y: bool, norm: float):
+    """p (of coefficient norm `norm`) after x = x' + s y' + t killing its
+    y'^n and y'^(n-1) coefficients, with the recorded step; along_y, after
+    y = u x' + y' + v killing x'^n and x'^(n-1) (the same rule on the
+    transposed table).  None when no simple root of the steering slice
+    gives a usable shift.
 
     In the table c the y'^n coefficient is h(s) = sum_i c[i, n-i] s^i and
     the y'^(n-1) coefficient is exactly g(s) + t h'(s), with
     g(s) = sum_i c[i, n-1-i] s^i, so s is a root of h and t = -g(s)/h'(s).
     The blow-up of the substituted coefficients grows like
-    max(1, |s|, |t|)**n, so the candidate minimizing that factor wins; a
-    near-real candidate within a factor two of the best keeps real inputs
-    on real shifts.  One correction pass against the substituted table
-    keeps the killed coefficient at the roundoff of a single substitution
-    even when the shift amplifies the coefficient scale; it reads that one
-    entry from a Horner run on row 0 (column 0 along y) of the table, so
-    the whole polynomial is substituted once.
+    max(1, |s|, |t|)**n, so the candidate minimizing that factor wins, the
+    larger |h'(s)| breaking a tie; a near-real candidate within a factor
+    two of the best keeps real inputs on real shifts.  Both keys are
+    quantized, so conjugate candidates tie in floating point as in exact
+    arithmetic, and `univariate_roots`' order puts Im s < 0 first.  One
+    correction pass against the substituted table keeps the killed
+    coefficient at the roundoff of a single substitution even when the
+    shift amplifies the coefficient scale; it reads that one entry from a
+    Horner run on row 0 (column 0 along y) of the table.
     """
     n = p.degree
-    c = p.coeffs.T if along_y else p.coeffs
-    norm = max(1.0, p.coeff_norm())
-    # along y the u^n entry is the y^n coefficient a preceding shear_x killed
-    h = np.array([c[i, n - i] for i in range(n if along_y else n + 1)])
-    h_scale = max(np.abs(h).max(), DEGREE_TRIM_REL * norm)
-    while h.size > 1 and abs(h[-1]) <= DEGREE_TRIM_REL * h_scale:
-        h = h[:-1]
-    if h.size == 1:
+    flipped = (p.coeffs.T if along_y else p.coeffs)[:, ::-1]
+    norm = max(1.0, norm)
+    # h and g lie on diagonals of the flipped table; along y the u^n entry
+    # is the y^n coefficient a preceding shear_x killed
+    h = flipped.diagonal().tolist()[: n if along_y else n + 1]
+    g = flipped.diagonal(1).tolist()
+    h_scale = max(max(map(abs, h)), DEGREE_TRIM_REL * norm)
+    while len(h) > 1 and abs(h[-1]) <= DEGREE_TRIM_REL * h_scale:
+        h.pop()
+    if len(h) == 1:
         return None
-    dh = np.polyder(h[::-1])
-    g = np.array([c[i, n - 1 - i] for i in range(n)])[::-1]
-    roots = _simple_roots(univariate_roots(h))
-    # polyval at all roots at once rounds like one call per root
+    roots = _simple_roots(univariate_roots(h).tolist())
+    # h' and g, high-first and padded to one length, evaluated at all roots
+    # by one Horner run on the stacked rows (numpy's complex products round
+    # unlike Python's, and the staircase downstream feels the last bit)
+    rows = np.zeros((2, n), dtype=complex)
+    rows[0, n + 1 - len(h):] = [i * h[i] for i in range(len(h) - 1, 0, -1)]
+    rows[1] = g[::-1]
     at = np.array(roots, dtype=complex)
-    slopes, offsets = np.polyval(dh, at).tolist(), np.polyval(g, at).tolist()
+    values = np.zeros((2, len(roots)), dtype=complex)
+    for k in range(n):
+        values = values * at + rows[:, k, None]
     candidates = []
-    for s, slope, offset in zip(roots, slopes, offsets):
+    for s, slope, offset in zip(roots, *values.tolist()):
         if abs(slope) > 1e-13 * norm:
             t = -offset / slope
         elif abs(offset) <= VANISH_TOL * norm:
@@ -258,15 +256,16 @@ def _shear(p: BivariatePolynomial, along_y: bool):
         else:
             continue
         if abs(t) <= 1e8 * norm:
-            rank = (max(1.0, abs(s), abs(t)), -abs(slope), s.real, s.imag)
-            candidates.append((rank, s, t, slope))
+            candidates.append((max(1.0, abs(s), abs(t)), s, t, slope))
     if not candidates:
         return None
-    candidates.sort(key=lambda cand: cand[0])
-    best_amp = candidates[0][0][0]
+    amp_q = 1e-12 * max(cand[0] for cand in candidates)  # univariate_roots' quanta
+    slope_q = 1e-12 * max(max(abs(cand[3]) for cand in candidates), 1e-300)
+    candidates.sort(key=lambda cand: (round(cand[0] / amp_q), round(-abs(cand[3]) / slope_q)))
+    best_amp = candidates[0][0]
     _, s, t, slope = next(
         (cand for cand in candidates
-         if abs(cand[1].imag) <= 1e-10 * (1.0 + abs(cand[1])) and cand[0][0] <= 2.0 * best_amp),
+         if abs(cand[1].imag) <= 1e-10 * (1.0 + abs(cand[1])) and cand[0] <= 2.0 * best_amp),
         candidates[0],
     )
     kind, names = ("shear_y", ("u", "v")) if along_y else ("shear_x", ("s", "t"))
@@ -281,8 +280,9 @@ def _shear(p: BivariatePolynomial, along_y: bool):
     return p.substitute(sub), SubstitutionStep(kind, sub, dict(zip(names, (s, t))))
 
 
-def _main_branch_tree(p: BivariatePolynomial, allow_special: bool) -> RepresentationTree:
-    """Plain recursive construction; the leading x-coefficient is nonzero."""
+def _main_branch_tree(p: BivariatePolynomial, allow_special: bool, norm: float) -> RepresentationTree:
+    """Plain recursive construction; the leading x-coefficient is nonzero,
+    and norm is the coefficient norm of p."""
     n = p.degree
     c = p.coeffs
     if n == 1:
@@ -303,7 +303,7 @@ def _main_branch_tree(p: BivariatePolynomial, allow_special: bool) -> Representa
 
     main = RepresentationTree(tuple(parents), tuple(edges), tuple(coeffs))
     remainder = c - main._reconstruct_table(n + 1)
-    scale = max(p.coeff_norm(), 1.0)
+    scale = max(norm, 1.0)
     low = np.abs(remainder[:, :2]).max()
     if low > REMAINDER_TOL * scale:  # pragma: no cover - algebraic identity
         raise DegenerateInputError("remainder unexpectedly involves y^0 or y^1 terms")
@@ -340,54 +340,46 @@ def _main_branch_tree(p: BivariatePolynomial, allow_special: bool) -> Representa
     )
 
 
-def _special_tree(p: BivariatePolynomial):
+def _special_tree(p: BivariatePolynomial, norm: float):
     """Size-3 tree for a cubic after x = x' + s y' + t, or size-5 tree for a
     quartic after a second shear y = u x' + y' + v; None when a steering
-    polynomial lacks a usable simple root."""
+    polynomial lacks a usable simple root.  norm is the coefficient norm
+    of p."""
     n = p.degree
-    work, rotation = _rotate_leading_x(p)
-    sheared = _shear(work, along_y=False)
-    if sheared is None:
+    work, work_norm, rotation = _rotate_leading_x(p, norm)
+    sheared = _shear(work, False, work_norm)
+    if sheared is None or sheared[0].degree != n:
         return None
     tilde, shear1 = sheared
-
-    scale = max(work.coeff_norm(), 1.0)
-    killed = max(abs(_coeff_at(tilde, 0, n)), abs(_coeff_at(tilde, 0, n - 1)))
-    if tilde.degree != n or killed > VANISH_TOL * scale:
+    scale = max(work_norm, 1.0)
+    c = tilde.coeffs.tolist()
+    if max(abs(c[0][n]), abs(c[0][n - 1])) > VANISH_TOL * scale:
         return None
 
     if n == 3:
-        quad = [_coeff_at(tilde, 1, 2), _coeff_at(tilde, 2, 1), _coeff_at(tilde, 3, 0)]
         try:
-            z2, z3 = univariate_roots(quad)
+            z2, z3 = univariate_roots([c[1][2], c[2][1], c[3][0]]).tolist()
         except LeadingCoefficientError:
             return None
-        c = tilde.coeffs
-        tree = RepresentationTree(
-            (None, 0, 1),
-            (None, LinearForm(0.0, 1.0, 0.0), LinearForm(0.0, 1.0, -z2)),
-            (
-                LinearForm(c[0, 0], c[1, 0], c[0, 1]),
-                LinearForm(0.0, c[2, 0], c[1, 1]),
-                LinearForm(0.0, c[3, 0], -c[3, 0] * z3),
-            ),
+        return _undo_substitutions(
+            (None, 0, 1), (None, LinearForm(0.0, 1.0, 0.0), LinearForm(0.0, 1.0, -z2)),
+            (LinearForm(c[0][0], c[1][0], c[0][1]), LinearForm(0.0, c[2][0], c[1][1]),
+             LinearForm(0.0, c[3][0], -c[3][0] * z3)),
+            rotation + (shear1,),
         )
-        return _undo_substitutions(tree, rotation + (shear1,))
 
-    sheared = _shear(tilde, along_y=True)
-    if sheared is None:
+    sheared = _shear(tilde, True, tilde.coeff_norm())
+    if sheared is None or sheared[0].degree != 4:
         return None
     hat, shear2 = sheared
-    killed = max(abs(_coeff_at(hat, j, k)) for j, k in ((3, 0), (4, 0), (0, 3), (0, 4)))
-    if hat.degree != 4 or killed > VANISH_TOL * scale:
+    c = hat.coeffs.tolist()
+    if max(abs(c[j][k]) for j, k in ((3, 0), (4, 0), (0, 3), (0, 4))) > VANISH_TOL * scale:
         return None
 
-    a31 = _coeff_at(hat, 3, 1)
-    a22 = _coeff_at(hat, 2, 2)
-    a13 = _coeff_at(hat, 1, 3)
+    a31, a22, a13 = c[3][1], c[2][2], c[1][3]
     if abs(a31) > DEGREE_TRIM_REL * scale:
         try:
-            z1, z2 = univariate_roots([a13, a22, a31])
+            z1, z2 = univariate_roots([a13, a22, a31]).tolist()
         except LeadingCoefficientError:
             return None
         top_edge = LinearForm(0.0, 1.0, -z1)
@@ -397,46 +389,38 @@ def _special_tree(p: BivariatePolynomial):
         top_edge = LinearForm(0.0, 0.0, 1.0)
         top_coeff = LinearForm(0.0, a22, a13)
 
-    c = hat.coeffs
-    tree = RepresentationTree(
-        (None, 0, 0, 1, 3),
-        (
-            None,
-            LinearForm(0.0, 1.0, 0.0),
-            LinearForm(0.0, 0.0, 1.0),
-            LinearForm(0.0, 0.0, 1.0),
-            top_edge,
-        ),
-        (
-            LinearForm(c[0, 0], c[1, 0], c[0, 1]),
-            LinearForm(0.0, c[2, 0], c[1, 1]),
-            LinearForm(0.0, 0.0, c[0, 2]),
-            LinearForm(0.0, c[2, 1], c[1, 2]),
-            top_coeff,
-        ),
+    x_edge, y_edge = LinearForm(0.0, 1.0, 0.0), LinearForm(0.0, 0.0, 1.0)
+    return _undo_substitutions(
+        (None, 0, 0, 1, 3), (None, x_edge, y_edge, y_edge, top_edge),
+        (LinearForm(c[0][0], c[1][0], c[0][1]), LinearForm(0.0, c[2][0], c[1][1]),
+         LinearForm(0.0, 0.0, c[0][2]), LinearForm(0.0, c[2][1], c[1][2]), top_coeff),
+        rotation + (shear1, shear2),
     )
-    return _undo_substitutions(tree, rotation + (shear1, shear2))
 
 
 def _build(p: BivariatePolynomial, allow_special: bool) -> RepresentationTree:
     n = p.degree
     if n < 1 or p.is_zero:
         raise DegenerateInputError("need a nonzero polynomial of degree at least 1")
+    norm = p.coeff_norm()
     if allow_special and n in (3, 4):
-        special = _special_tree(p)
+        special = _special_tree(p, norm)
         # a large shear can leave a special tree that no longer reproduces p;
         # the plain recursion below stays exact
         if special is not None:
             misfit = special._reconstruct_table(max(len(special), n) + 1)
             misfit[: n + 1, : n + 1] -= p.coeffs
-            if np.abs(misfit).max() <= REMAINDER_TOL * max(p.coeff_norm(), 1.0):
+            if np.abs(misfit).max() <= REMAINDER_TOL * max(norm, 1.0):
                 return special
-    work, rotation = _rotate_leading_x(p)
+    work, _, rotation = _rotate_leading_x(p, norm)
     if rotation:
         # a cubic or quartic gets here only when its special tree, which
         # makes this same rotation, failed
-        return _undo_substitutions(_build(work, allow_special and n > 4), rotation)
-    return _main_branch_tree(p, allow_special)
+        tree = _build(work, allow_special and n > 4)
+        return _undo_substitutions(
+            tree.parents, tree.edges, tree.coeffs, rotation, tree.substitution_steps
+        )
+    return _main_branch_tree(p, allow_special, norm)
 
 
 # -- public operation surface ------------------------------------------------------

@@ -6,8 +6,9 @@ loops, roots of a system by a Sylvester-resultant elimination, minimal
 monomial trees by exhaustive subset enumeration, the polynomials of a
 representation tree by products of {(j, k): c} term dictionaries.  Two
 are earlier forms of package routines, kept to pin the rounding of their
-faster replacements: the two-pass Horner substitution and the companion
-eigenvalues from `np.linalg.eigvals`.
+faster replacements: the two-pass Horner substitution, the companion
+eigenvalues from `np.linalg.eigvals` and the inverse of an affine map from
+`np.linalg.inv`.
 """
 
 from __future__ import annotations
@@ -337,3 +338,10 @@ def companion_eigvals(coeffs):
         (roots.imag, np.round(roots.real / quantum), np.round(np.abs(roots) / quantum))
     )
     return roots[order]
+
+
+def affine_inverse(sub):
+    """(E^-1, -E^-1 t) of the map (x, y) = E (x', y') + t by `np.linalg.inv`,
+    which factors E with partial pivoting."""
+    e_inv = np.linalg.inv(sub.linear)
+    return e_inv, -e_inv @ sub.shift

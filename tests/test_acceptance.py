@@ -269,7 +269,7 @@ def test_criterion_7_special_case_substitutions():
     for trial in range(50):
         p = random_poly(rng, 3, complex_coeffs=(trial % 2 == 1))
         pencil = linearize(p)
-        tree = detrep.representation_tree._special_tree(p)
+        tree = detrep.representation_tree._special_tree(p, p.coeff_norm())
         ok &= tree is not None
         work = p
         for step in tree.substitution_steps:
@@ -282,7 +282,7 @@ def test_criterion_7_special_case_substitutions():
     for trial in range(50):
         p = random_poly(rng, 4, complex_coeffs=(trial % 2 == 1))
         pencil = linearize(p)
-        tree = detrep.representation_tree._special_tree(p)
+        tree = detrep.representation_tree._special_tree(p, p.coeff_norm())
         ok &= tree is not None
         work = p
         for step in tree.substitution_steps:

@@ -15,6 +15,7 @@ from detrep import polynomials, serialize
 from detrep.polynomials import DEGREE_TRIM_REL, _trim_table, substitute_table
 
 from oracles import (
+    affine_inverse,
     central_difference,
     companion_eigvals,
     naive_eval,
@@ -133,6 +134,17 @@ class TestUnivariateRoots:
         with pytest.raises(LeadingCoefficientError):
             univariate_roots([1.0, 2.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), -np.inf])
+    @pytest.mark.parametrize("degree,position", [(m, i) for m in (1, 2, 3) for i in range(m + 1)])
+    def test_non_finite_coefficients_raise_one_error(self, degree, position, bad):
+        """Finiteness is tested first, at every degree: a nan never comes
+        back as a root, and an inf is not mistaken for a vanishing leading
+        coefficient."""
+        c = [1.0] * (degree + 1)
+        c[position] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="coefficients must be finite"):
+            univariate_roots(c)
+
     def test_sorted_by_modulus(self):
         roots = univariate_roots([6, -5, -2, 1])  # (t-1)(t+2)(t-3)
         assert np.all(np.diff(np.abs(roots)) >= -1e-12)
@@ -164,7 +176,7 @@ class TestUnivariateRoots:
 
 class TestApplySubstitution:
     def test_identity(self):
-        out = CUBIC.substitute(AffineSubstitution.identity())
+        out = CUBIC.substitute(AffineSubstitution(np.eye(2), np.zeros(2)))
         assert np.allclose(out.coeffs, CUBIC.coeffs)
 
     def test_cubic_shift_reference_coefficients(self):
@@ -321,6 +333,53 @@ def test_substituted_table_is_zero_outside_the_triangle(p, sub):
 
 
 wide = st.floats(-10.0, 10.0)
+
+# the affine steps of a representation tree, with |parameter| <= 1e3
+parameter = st.builds(complex, st.floats(-707.0, 707.0), st.floats(-707.0, 707.0))
+affine_steps = st.one_of(
+    st.builds(AffineSubstitution.shear_x, parameter, parameter),
+    st.builds(AffineSubstitution.shear_y, parameter, parameter),
+    st.builds(lambda gamma: AffineSubstitution.shear_y(gamma, 0.0), parameter),
+)
+
+
+def affine_error_bound(sub) -> float:
+    """Entrywise error bound, fixed from eps and the map's size, for the
+    inverse of a product of unit-determinant steps: the determinant (1 in
+    exact arithmetic) carries an error of a few eps * scale**2 relative,
+    which reaches the linear part (entries up to scale) and, through it,
+    the shift (entries up to scale**2); both inverses carry it."""
+    scale = max(1.0, np.abs(sub.linear).max(), np.abs(sub.shift).max())
+    return 64 * np.finfo(float).eps * scale**4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(affine_steps, min_size=1, max_size=3))
+def test_closed_form_inverse_against_np_linalg_inv(steps):
+    """`AffineSubstitution.inverse` is the adjugate times the reciprocal
+    determinant.  A single step is the exact inverse: the step with its
+    parameters negated, and the value of `np.linalg.inv` wherever that
+    factors without a row swap (every shear_x; a shear_y with |u| <= 1).
+    A product agrees with the reference, and the inverse undoes the map,
+    within `affine_error_bound`."""
+    total = steps[0]
+    for step in steps[1:]:
+        total = total.compose(step)
+    inv = total.inverse()
+    ref_linear, ref_shift = affine_inverse(total)
+    if len(steps) == 1:
+        e, t = total.linear, total.shift
+        assert np.array_equal(inv.linear, [[1.0, -e[0, 1]], [-e[1, 0], 1.0]])
+        assert np.array_equal(inv.shift, -t)
+        if abs(e[1, 0]) <= 1.0:
+            assert np.array_equal(inv.linear, ref_linear)
+            assert np.array_equal(inv.shift, ref_shift)
+    bound = affine_error_bound(total)
+    assert np.abs(inv.linear - ref_linear).max() <= bound
+    assert np.abs(inv.shift - ref_shift).max() <= bound
+    round_trip = inv.compose(total)
+    assert np.abs(round_trip.linear - np.eye(2)).max() <= bound
+    assert np.abs(round_trip.shift).max() <= bound
 
 
 @settings(max_examples=200, deadline=None)

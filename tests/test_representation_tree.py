@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detrep import (
+    AffineSubstitution,
     BivariatePolynomial,
     DegenerateInputError,
     LinearForm,
@@ -37,7 +38,10 @@ def plain_tree(p):
 def special_pencil(p):
     """Pencil and composed substitution of the tree `build_tree` picks."""
     tree = build_tree(p)
-    return assemble_pencil_from_representation_tree(tree), tree.composed_substitution()
+    total = AffineSubstitution(np.eye(2), np.zeros(2))
+    for step in tree.substitution_steps:
+        total = total.compose(step.map)
+    return assemble_pencil_from_representation_tree(tree), total
 
 
 def node_polynomials(tree: RepresentationTree) -> list[BivariatePolynomial]:
@@ -357,32 +361,55 @@ def test_dense_tree_substitutes_once_per_shear(monkeypatch, n, shears):
     assert len(calls) == shears
 
 
-@pytest.mark.parametrize("n,products", [(3, 13), (4, 29)])
+def test_real_cubic_picks_the_conjugate_shear_below_the_axis():
+    """A real cubic's shear candidates come in conjugate pairs that tie in
+    exact arithmetic; the choice must not follow the last bits.  Every
+    non-real shear has Im s < 0, also after any coefficient moves by one
+    ulp."""
+    rng = np.random.default_rng(118)
+    non_real = 0
+    for _ in range(120):
+        c = random_polynomial(rng, 3).coeffs.real
+        moved = []
+        for j, k in ((0, 0), (1, 2), (0, 3), (3, 0)):
+            d = c.copy()
+            d[j, k] = np.nextafter(d[j, k], np.inf)
+            moved.append(d)
+        shears = [build_tree(BivariatePolynomial(t)).substitution_steps[0].params["s"]
+                  for t in [c] + moved]
+        if abs(shears[0].imag) > 1e-10 * (1.0 + abs(shears[0])):
+            non_real += 1
+            assert all(s.imag < -1e-10 * (1.0 + abs(s)) for s in shears)
+    assert non_real >= 20
+
+
+@pytest.mark.parametrize("n,products", [(3, 12), (4, 28)])
 def test_dense_tree_call_budget(monkeypatch, n, products):
-    """A shear runs Horner products only over the variable it moves, and
-    invertibility needs no determinant routine.  A dense cubic makes 8
-    table products in its shear (correction window and full table) and 5
-    in the misfit guard; with a two-pass substitution it made 21, and 4
-    `np.linalg.det` calls.  A dense quartic made 49 and 6."""
-    calls = {"times_linear": 0, "det": 0}
-    times_linear, det = polynomials.times_linear, np.linalg.det
+    """A shear runs Horner products only over the variable it moves,
+    invertibility needs no determinant routine, and the map back is
+    inverted in closed form.  A dense cubic makes 8 table products in its
+    shear (correction window and full table) and 4 in the misfit guard,
+    which writes the root's form without a product; with a two-pass
+    substitution it made 21, and 4 `np.linalg.det` calls.  A dense quartic
+    made 49 and 6."""
+    calls = {"times_linear": 0, "det": 0, "inv": 0}
+    times_linear, det, inv = polynomials.times_linear, np.linalg.det, np.linalg.inv
 
-    def counting_times_linear(*args):
-        calls["times_linear"] += 1
-        return times_linear(*args)
-
-    def counting_det(a):
-        calls["det"] += 1
-        return det(a)
+    def counting(name, func):
+        def counted(*args):
+            calls[name] += 1
+            return func(*args)
+        return counted
 
     p = random_polynomial(np.random.default_rng(95), n)
     for module in (polynomials, representation_tree):
-        monkeypatch.setattr(module, "times_linear", counting_times_linear)
-    monkeypatch.setattr(np.linalg, "det", counting_det)
+        monkeypatch.setattr(module, "times_linear", counting("times_linear", times_linear))
+    monkeypatch.setattr(np.linalg, "det", counting("det", det))
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", inv))
     tree = build_tree(p)
     monkeypatch.undo()
     assert len(tree) == representation_tree_size(n) - 1
-    assert calls == {"times_linear": products, "det": 0}
+    assert calls == {"times_linear": products, "det": 0, "inv": 0}
 
 
 class TestLinearize:
