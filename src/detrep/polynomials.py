@@ -65,8 +65,10 @@ def times_linear(table: np.ndarray, a: complex, b: complex, c: complex) -> np.nd
     """Coefficient table(s) of the product with a + b x + c y, over the last
     two axes; the top band of `table` must be zero so that the product fits."""
     out = a * table
-    out[..., 1:, :] += b * table[..., :-1, :]
-    out[..., :, 1:] += c * table[..., :, :-1]
+    if table.shape[-2] > 1:  # a one-row (one-column) window has no shifted part
+        out[..., 1:, :] += b * table[..., :-1, :]
+    if table.shape[-1] > 1:
+        out[..., :, 1:] += c * table[..., :, :-1]
     return out
 
 
@@ -263,7 +265,9 @@ def substitute_table(
 
     Only a variable the map moves gets Horner products.  When y = y', the
     y pass would rebuild c exactly, so c is copied; when x = x', each x
-    step is the product's exact shift of rows, added in the same order."""
+    step is the product's exact shift of rows, added in the same order.
+    Each pass starts from its leading coefficient: the product of the zero
+    table it would start from is zero."""
     e, t = sub.linear, sub.shift
     n = c.shape[0] - 1
     # part[j] accumulates sum_k c[j, k] y^k in the new variables, all j at once
@@ -271,12 +275,13 @@ def substitute_table(
     if e[1, 0] == 0 and e[1, 1] == 1 and t[1] == 0:
         part[:, 0, :] = c[:, : part.shape[2]]
     else:
-        for k in range(n, -1, -1):
+        part[:, 0, 0] = c[:, n]
+        for k in range(n - 1, -1, -1):
             part = times_linear(part, t[1], e[1, 0], e[1, 1])
             part[:, 0, 0] += c[:, k]
     moves_x = not (e[0, 0] == 1 and e[0, 1] == 0 and t[0] == 0)
-    acc = np.zeros((n + 1, n + 1), dtype=complex)[:rows, :cols]
-    for j in range(n, -1, -1):
+    acc = part[n].copy()
+    for j in range(n - 1, -1, -1):
         if moves_x:
             acc = times_linear(acc, t[0], e[0, 0], e[0, 1])
         else:
@@ -311,8 +316,7 @@ def univariate_roots(coeffs) -> np.ndarray:
     if m == 1:
         roots = np.array([-monic[0]], dtype=complex)
     else:
-        companion = np.zeros((m, m), dtype=complex)
-        companion.flat[m :: m + 1] = 1.0  # the subdiagonal
+        companion = np.eye(m, k=-1, dtype=complex)
         companion[:, -1] = -monic[:-1]
         roots, _, _, info = zgeev(companion, compute_vl=0, compute_vr=0, overwrite_a=1)
         if info != 0:

@@ -51,13 +51,6 @@ class LinearForm:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0
 
-    def compose(self, sub: AffineSubstitution) -> "LinearForm":
-        """The form expressed in the new variables of the substitution."""
-        (e00, e01), (e10, e11) = sub.linear.tolist()
-        t0, t1 = sub.shift.tolist()
-        b, c = self.b, self.c
-        return LinearForm(self.a + b * t0 + c * t1, b * e00 + c * e10, b * e01 + c * e11)
-
 
 @dataclass(frozen=True)
 class SubstitutionStep:
@@ -102,15 +95,16 @@ class RepresentationTree:
     def _reconstruct_table(self, size: int) -> np.ndarray:
         # sum of coefficient form times node product; a node's degree is its
         # depth, at most len(self) - 1, so size len(self) + 1 holds every term
-        nodes = [np.zeros((size, size), dtype=complex)]
-        nodes[0][0, 0] = 1.0
+        def form_table(f):  # the product of the root's 1 with the form f
+            table = np.zeros((size, size), dtype=complex)
+            table[0, 0], table[1, 0], table[0, 1] = f.a, f.b, f.c
+            return table
+
+        nodes = [None]
         for i in range(1, len(self)):
-            e = self.edges[i]
-            nodes.append(times_linear(nodes[self.parents[i]], e.a, e.b, e.c))
-        # the root's product with its form is the form itself
-        root = self.coeffs[0]
-        total = np.zeros((size, size), dtype=complex)
-        total[0, 0], total[1, 0], total[0, 1] = root.a, root.b, root.c
+            e, parent = self.edges[i], self.parents[i]
+            nodes.append(times_linear(nodes[parent], e.a, e.b, e.c) if parent else form_table(e))
+        total = form_table(self.coeffs[0])
         for f, table in zip(self.coeffs[1:], nodes[1:]):
             if not f.is_zero:
                 total += times_linear(table, f.a, f.b, f.c)
@@ -173,17 +167,19 @@ def _rotate_leading_x(p: BivariatePolynomial, norm: float):
 
 
 def _undo_substitutions(parents, edges, coeffs, steps, own_steps=()) -> RepresentationTree:
-    """The tree of these fields, built in the variables after `steps`, in the
-    ones before them; its forms have already undone its `own_steps`.  The
-    map back composes the steps' exact inverses."""
+    """The tree whose non-root edges and coefficient forms, (a, b, c)
+    triples, were built in the variables after `steps`, in the ones before
+    them; the triples have already undone the tree's `own_steps`.  The map
+    back composes the steps' exact inverses."""
     back = steps[-1].map.inverse()
     for step in steps[-2::-1]:
         back = back.compose(step.map.inverse())
+    (e00, e01), (e10, e11) = back.linear.tolist()
+    t0, t1 = back.shift.tolist()
+    forms = [LinearForm(a + b * t0 + c * t1, b * e00 + c * e10, b * e01 + c * e11)
+             for a, b, c in edges + coeffs]
     return RepresentationTree(
-        parents,
-        (None,) + tuple(e.compose(back) for e in edges[1:]),
-        tuple(f.compose(back) for f in coeffs),
-        steps + own_steps,
+        parents, (None, *forms[: len(edges)]), tuple(forms[len(edges):]), steps + own_steps
     )
 
 
@@ -192,15 +188,9 @@ def _simple_roots(roots: list[complex]) -> list[complex]:
     # eps**(1/m) (6e-6 for a triple root), so the separation threshold must
     # sit well above that; near-coincident roots would blow up the shift
     # parameter anyway and are better served by the fallback construction
-    out = []
-    for i, r in enumerate(roots):
-        sep = min(
-            (abs(r - other) for j, other in enumerate(roots) if j != i),
-            default=np.inf,
-        )
-        if sep > 1e-4 * (1.0 + abs(r)):
-            out.append(r)
-    return out
+    return [r for r in roots
+            if min([abs(r - other) for other in roots if other is not r], default=np.inf)
+            > 1e-4 * (1.0 + abs(r))]
 
 
 def _shear(p: BivariatePolynomial, along_y: bool, norm: float):
@@ -240,12 +230,10 @@ def _shear(p: BivariatePolynomial, along_y: bool, norm: float):
     # h' and g, high-first and padded to one length, evaluated at all roots
     # by one Horner run on the stacked rows (numpy's complex products round
     # unlike Python's, and the staircase downstream feels the last bit)
-    rows = np.zeros((2, n), dtype=complex)
-    rows[0, n + 1 - len(h):] = [i * h[i] for i in range(len(h) - 1, 0, -1)]
-    rows[1] = g[::-1]
-    at = np.array(roots, dtype=complex)
-    values = np.zeros((2, len(roots)), dtype=complex)
-    for k in range(n):
+    dh = [0j] * (n + 1 - len(h)) + [i * h[i] for i in range(len(h) - 1, 0, -1)]
+    rows, at = np.array([dh, g[::-1]]), np.array(roots, dtype=complex)
+    values = rows[:, :1]  # Horner from the leading coefficients
+    for k in range(1, n):
         values = values * at + rows[:, k, None]
     candidates = []
     for s, slope, offset in zip(roots, *values.tolist()):
@@ -362,9 +350,8 @@ def _special_tree(p: BivariatePolynomial, norm: float):
         except LeadingCoefficientError:
             return None
         return _undo_substitutions(
-            (None, 0, 1), (None, LinearForm(0.0, 1.0, 0.0), LinearForm(0.0, 1.0, -z2)),
-            (LinearForm(c[0][0], c[1][0], c[0][1]), LinearForm(0.0, c[2][0], c[1][1]),
-             LinearForm(0.0, c[3][0], -c[3][0] * z3)),
+            (None, 0, 1), [(0.0, 1.0, 0.0), (0.0, 1.0, -z2)],
+            [(c[0][0], c[1][0], c[0][1]), (0.0, c[2][0], c[1][1]), (0.0, c[3][0], -c[3][0] * z3)],
             rotation + (shear1,),
         )
 
@@ -382,18 +369,16 @@ def _special_tree(p: BivariatePolynomial, norm: float):
             z1, z2 = univariate_roots([a13, a22, a31]).tolist()
         except LeadingCoefficientError:
             return None
-        top_edge = LinearForm(0.0, 1.0, -z1)
-        top_coeff = LinearForm(0.0, a31, -a31 * z2)
+        top_edge, top_coeff = (0.0, 1.0, -z1), (0.0, a31, -a31 * z2)
     else:
         # quartic band reduces to x y^2 (a22 x + a13 y): climb with a y-edge
-        top_edge = LinearForm(0.0, 0.0, 1.0)
-        top_coeff = LinearForm(0.0, a22, a13)
+        top_edge, top_coeff = (0.0, 0.0, 1.0), (0.0, a22, a13)
 
-    x_edge, y_edge = LinearForm(0.0, 1.0, 0.0), LinearForm(0.0, 0.0, 1.0)
+    x_edge, y_edge = (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
     return _undo_substitutions(
-        (None, 0, 0, 1, 3), (None, x_edge, y_edge, y_edge, top_edge),
-        (LinearForm(c[0][0], c[1][0], c[0][1]), LinearForm(0.0, c[2][0], c[1][1]),
-         LinearForm(0.0, 0.0, c[0][2]), LinearForm(0.0, c[2][1], c[1][2]), top_coeff),
+        (None, 0, 0, 1, 3), [x_edge, y_edge, y_edge, top_edge],
+        [(c[0][0], c[1][0], c[0][1]), (0.0, c[2][0], c[1][1]), (0.0, 0.0, c[0][2]),
+         (0.0, c[2][1], c[1][2]), top_coeff],
         rotation + (shear1, shear2),
     )
 
@@ -417,9 +402,8 @@ def _build(p: BivariatePolynomial, allow_special: bool) -> RepresentationTree:
         # a cubic or quartic gets here only when its special tree, which
         # makes this same rotation, failed
         tree = _build(work, allow_special and n > 4)
-        return _undo_substitutions(
-            tree.parents, tree.edges, tree.coeffs, rotation, tree.substitution_steps
-        )
+        edges, coeffs = ([(f.a, f.b, f.c) for f in forms] for forms in (tree.edges[1:], tree.coeffs))
+        return _undo_substitutions(tree.parents, edges, coeffs, rotation, tree.substitution_steps)
     return _main_branch_tree(p, allow_special, norm)
 
 

@@ -383,13 +383,14 @@ def test_real_cubic_picks_the_conjugate_shear_below_the_axis():
     assert non_real >= 20
 
 
-@pytest.mark.parametrize("n,products", [(3, 12), (4, 28)])
+@pytest.mark.parametrize("n,products", [(3, 9), (4, 22)])
 def test_dense_tree_call_budget(monkeypatch, n, products):
-    """A shear runs Horner products only over the variable it moves,
-    invertibility needs no determinant routine, and the map back is
-    inverted in closed form.  A dense cubic makes 8 table products in its
-    shear (correction window and full table) and 4 in the misfit guard,
-    which writes the root's form without a product; with a two-pass
+    """A shear runs Horner products only over the variable it moves, each
+    Horner run starts from its leading coefficient, invertibility needs no
+    determinant routine, and the map back is inverted in closed form.  A
+    dense cubic makes 6 table products in its shear (correction window and
+    full table) and 3 in the misfit guard, which writes the forms of the
+    root and of its children without a product; with a two-pass
     substitution it made 21, and 4 `np.linalg.det` calls.  A dense quartic
     made 49 and 6."""
     calls = {"times_linear": 0, "det": 0, "inv": 0}
