@@ -188,8 +188,8 @@ def _simple_roots(roots: list[complex]) -> list[complex]:
     # eps**(1/m) (6e-6 for a triple root), so the separation threshold must
     # sit well above that; near-coincident roots would blow up the shift
     # parameter anyway and are better served by the fallback construction
-    return [r for r in roots
-            if min([abs(r - other) for other in roots if other is not r], default=np.inf)
+    return [r for i, r in enumerate(roots)
+            if min([abs(r - other) for j, other in enumerate(roots) if j != i], default=np.inf)
             > 1e-4 * (1.0 + abs(r))]
 
 
@@ -268,7 +268,9 @@ def _shear(p: BivariatePolynomial, along_y: bool, norm: float):
     return p.substitute(sub), SubstitutionStep(kind, sub, dict(zip(names, (s, t))))
 
 
-def _main_branch_tree(p: BivariatePolynomial, allow_special: bool, norm: float) -> RepresentationTree:
+def _main_branch_tree(
+    p: BivariatePolynomial, allow_special: bool, norm: float
+) -> RepresentationTree:
     """Plain recursive construction; the leading x-coefficient is nonzero,
     and norm is the coefficient norm of p."""
     n = p.degree
@@ -402,7 +404,7 @@ def _build(p: BivariatePolynomial, allow_special: bool) -> RepresentationTree:
         # a cubic or quartic gets here only when its special tree, which
         # makes this same rotation, failed
         tree = _build(work, allow_special and n > 4)
-        edges, coeffs = ([(f.a, f.b, f.c) for f in forms] for forms in (tree.edges[1:], tree.coeffs))
+        edges, coeffs = ([(f.a, f.b, f.c) for f in fs] for fs in (tree.edges[1:], tree.coeffs))
         return _undo_substitutions(tree.parents, edges, coeffs, rotation, tree.substitution_steps)
     return _main_branch_tree(p, allow_special, norm)
 
