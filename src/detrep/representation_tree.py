@@ -187,10 +187,10 @@ def _simple_roots(roots: list[complex]) -> list[complex]:
     # a numerical m-fold root splits into a cluster of diameter about
     # eps**(1/m) (6e-6 for a triple root), so the separation threshold must
     # sit well above that; near-coincident roots would blow up the shift
-    # parameter anyway and are better served by the fallback construction
-    return [r for i, r in enumerate(roots)
-            if min([abs(r - other) for j, other in enumerate(roots) if j != i], default=np.inf)
-            > 1e-4 * (1.0 + abs(r))]
+    # parameter anyway and are better served by the fallback construction;
+    # a root's separation is its second-smallest distance (the first is 0)
+    return [r for r in roots
+            if (sorted([abs(r - other) for other in roots]) + [np.inf])[1] > 1e-4 * (1.0 + abs(r))]
 
 
 def _shear(p: BivariatePolynomial, along_y: bool, norm: float):
