@@ -55,7 +55,6 @@ from .solver import (
 from .twopar import (
     DeltaTriple,
     EigenSolution,
-    StaircaseError,
     extract_regular_part,
     operator_determinants,
     solve_regular,
@@ -79,7 +78,6 @@ __all__ = [
     "RepresentationTree",
     "RootRecord",
     "SolveOptions",
-    "StaircaseError",
     "accuracy_measure",
     "assemble_pencil_from_monomial_tree",
     "assemble_pencil_from_representation_tree",

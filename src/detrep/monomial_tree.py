@@ -227,27 +227,21 @@ def _exact_min_node_set(P) -> set:
 
     subsets = np.arange(1 << count, dtype=np.uint32)
     valid = np.ones(subsets.shape, dtype=bool)
-    for nd in non_root:
-        j, k = nd
+    for j, k in non_root:
+        if j + k == 1:
+            continue  # always attachable to the root; no other node's parent is the root
         parent_mask = np.uint32(0)
-        if j > 0 and (j - 1, k) != (0, 0):
+        if j > 0:
             parent_mask |= np.uint32(bit[(j - 1, k)])
-        if k > 0 and (j, k - 1) != (0, 0):
+        if k > 0:
             parent_mask |= np.uint32(bit[(j, k - 1)])
-        has_root_parent = (j, k) in ((1, 0), (0, 1))
-        if has_root_parent:
-            continue  # always attachable to the root
-        member = (subsets & np.uint32(bit[nd])) != 0
+        member = (subsets & np.uint32(bit[(j, k)])) != 0
         valid &= ~(member & ((subsets & parent_mask) == 0))
+    # constrained terms have degree >= 2, so none of their options is the root
     for _, opts in _constrained_terms(P):
         mask = np.uint32(0)
         for opt in opts:
-            if opt == (0, 0):
-                mask = None  # satisfied by the root
-                break
             mask |= np.uint32(bit[opt])
-        if mask is None:
-            continue
         valid &= (subsets & mask) != 0
 
     popcount = np.bitwise_count(subsets).astype(np.int64)

@@ -184,7 +184,15 @@ def _dedupe(records: list[RootRecord], tol: float) -> list[RootRecord]:
 
 def _solve_once(p, q, opts: SolveOptions, diagnostics: SolveDiagnostics):
     diagnostics.result = None
-    pencils = (linearize_polynomial(f, opts.linearization) for f in (p, q))
+    norms = p.coeff_norm(), q.coeff_norm()
+    # the pencils mix structural ±1 entries with coefficients, so each
+    # polynomial is linearized at a power-of-two scale with its largest
+    # coefficient in [0.5, 1): the roots do not depend on the caller's scale
+    pencils = []
+    for f, norm in zip((p, q), norms):
+        e = math.frexp(norm)[1]
+        unit = BivariatePolynomial(np.ldexp(f.coeffs.view(float), -e).view(complex)) if e else f
+        pencils.append(linearize_polynomial(unit, opts.linearization))
     result = twopar.solve_full(*pencils, cluster_tol=opts.cluster_tol, rank_tol=opts.rank_tol,
                                max_roots=p.degree * q.degree)
     diagnostics.result = result
@@ -193,7 +201,7 @@ def _solve_once(p, q, opts: SolveOptions, diagnostics: SolveDiagnostics):
 
     xs, ys = np.array([(s.x, s.y) for s in result.solutions], dtype=complex).reshape(-1, 2).T
     finite = np.isfinite(xs) & np.isfinite(ys)
-    scale = max(p.coeff_norm(), q.coeff_norm())
+    scale = max(norms)
     tables = _stack_tables(p, q)
     x, y, refined, absf, sv = _polish(tables, max(scale, 1.0), xs[finite], ys[finite],
                                       opts.newton_steps)
@@ -222,21 +230,16 @@ def solve_system(
 ) -> list[RootRecord]:
     """All roots of p(x, y) = q(x, y) = 0, sorted by ascending accuracy
     measure.  Every solve tries the given orientation first; when it yields
-    no root, it retries once with x and y swapped before giving up."""
+    no root, it retries once with x and y swapped, and when that yields
+    none either it raises DegenerateSystemError, its one failure."""
     opts = opts or SolveOptions()
     diagnostics = diagnostics if diagnostics is not None else SolveDiagnostics()
     if p.is_zero or q.is_zero or p.degree < 1 or q.degree < 1:
         raise ValueError("both polynomials must be nonzero with degree >= 1")
 
-    last_error: Exception | None = None
     for swapped in (False, True):
         ps, qs = (BivariatePolynomial(f.coeffs.T) for f in (p, q)) if swapped else (p, q)
-        try:
-            records = _solve_once(ps, qs, opts, diagnostics)
-        except twopar.StaircaseError as exc:
-            last_error = exc
-            diagnostics.warnings.append(f"solve attempt failed: {exc}")
-            continue
+        records = _solve_once(ps, qs, opts, diagnostics)
         if records:
             if swapped:
                 diagnostics.swapped = True
@@ -258,7 +261,5 @@ def solve_system(
              else "empty regular part: no candidates")
             + (" (swapped variables)" if swapped else "")
         )
-    raise DegenerateSystemError(
-        "no roots could be certified; the system may not be zero-dimensional"
-        + (f" ({last_error})" if last_error else "")
-    )
+    raise DegenerateSystemError("no roots could be certified; "
+                                "the system may not be zero-dimensional")

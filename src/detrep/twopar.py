@@ -42,10 +42,6 @@ def _svd(mat, compute_uv=True):
         return scipy.linalg.svd(mat, compute_uv=compute_uv, lapack_driver="gesvd")
 
 
-class StaircaseError(RuntimeError):
-    """The compression sequence failed to reach a regular square block."""
-
-
 @dataclass(frozen=True)
 class DeltaTriple:
     """The operator determinants: float64 if all three are, else complex."""
@@ -135,11 +131,9 @@ def _decide_rank(sv: np.ndarray, cutoff: float, log: StaircaseLog, context: str)
     stays orders of magnitude away from it.  The split never keeps a value
     at or below the cutoff.  A gapless zone with no certain values above it
     counts as pure noise (rank zero); otherwise the nominal cutoff decides,
-    and the ambiguity is recorded in the log and logged as the warning
+    and the ambiguity is recorded in the log and logged at INFO as
     "<context> <kept> vs discarded <dropped>".
     """
-    if sv.size == 0:
-        return 0, 0.0, 0.0, False
     # the values strictly above each threshold; LAPACK sorts sv largest first
     certain, rank, plausible = np.searchsorted(
         -sv, (-cutoff * RANK_ZONE, -cutoff, -cutoff / RANK_ZONE)).tolist()
@@ -159,7 +153,7 @@ def _decide_rank(sv: np.ndarray, cutoff: float, log: StaircaseLog, context: str)
     if ambiguous:
         msg = f"{context} {kept:.3e} vs discarded {dropped:.3e}"
         log.warnings.append(msg)
-        logger.warning(msg)
+        logger.info(msg)
     return rank, kept, dropped, ambiguous
 
 
@@ -270,14 +264,14 @@ def extract_regular_part(
     slab's left singular vectors absorb any unitary on the left.  When
     delta0 has full column rank but extra rows, a rows step runs instead:
     the columns step of the conjugate-transposed triple, with the bases
-    swapped and delta0's left singular vectors as the right ones.  The
-    loop stops at a square block with nonsingular delta0 (possibly empty).
+    swapped and delta0's left singular vectors as the right ones.  Each
+    step shrinks rows + columns, so within m + k - 1 steps the loop stops
+    at a square block with nonsingular delta0 (possibly empty).
     """
     ds = [deltas.delta0, deltas.delta1, deltas.delta2]
     m, k = deltas.shape
     left, right = np.eye(m, dtype=ds[0].dtype), np.eye(k, dtype=ds[0].dtype)
     log = StaircaseLog()
-    budget = max(m * k, 1)
     rel = rank_tol if rank_tol is not None else _default_rank_tol((m, k))
     cutoff = None
 
@@ -295,11 +289,6 @@ def extract_regular_part(
         )
         if m == k and rank == k:
             break
-        if len(log.steps) >= budget:
-            raise StaircaseError(
-                f"no regular part after {len(log.steps)} compressions "
-                f"(current block {m}x{k}, rank {rank})"
-            )
 
         # a rows step (m > k, full column rank) runs as the columns step of
         # the conjugate-transposed triple, with the bases swapped

@@ -278,6 +278,17 @@ class TestSolve:
         assert run(["solve", str(path)]) == 1
         assert "zero-dimensional" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [None, "{not json", '{"p": {"degree": 1}}'],
+                             ids=["missing", "malformed", "no-q"])
+    def test_unreadable_system_file_fails(self, tmp_path, capsys, content):
+        path = tmp_path / "system.json"
+        if content is not None:
+            path.write_text(content)
+        assert run(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read system file {str(path)!r}:")
+        assert captured.out == ""
+
     def test_negative_newton_steps_flag_rejected(self, system_file, capsys):
         assert run(["solve", system_file, "--newton-steps", "-1"]) == 1
         assert "error: invalid solve options: newton_steps" in capsys.readouterr().err
@@ -344,6 +355,16 @@ class TestVerify:
         assert run(["verify", str(pencil_path), cubic_file]) == 1
         assert "block size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [None, "[1, 2"], ids=["missing", "malformed"])
+    def test_unreadable_pencil_fails(self, cubic_file, tmp_path, capsys, content):
+        pencil = tmp_path / "pencil.json"
+        if content is not None:
+            pencil.write_text(content)
+        assert run(["verify", str(pencil), cubic_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read input:")
+        assert "max relative determinant error" not in captured.out
+
     def test_sample_count_respected(self, cubic_file, tmp_path, capsys):
         pencil = tmp_path / "pencil.json"
         run(["linearize", cubic_file, "--method", "lin1", "--output", str(pencil)])
@@ -384,6 +405,13 @@ class TestBench:
         rows = json.loads(out.read_text())
         assert [r["lin1_delta_size"] for r in rows] == [25, 64, 121, 225, 361, 576, 841, 1225]
         assert [r["lin2_delta_size"] for r in rows] == [9, 25, 64, 100, 169, 289, 400, 576]
+
+    def test_single_degree_is_a_one_row_range(self, capsys, tmp_path):
+        out = tmp_path / "bench.json"
+        assert run(["bench", "--degrees", "5", "--sizes-only", "--output", str(out)]) == 0
+        (row,) = json.loads(out.read_text())
+        assert (row["degree"], row["lin1_delta_size"], row["lin2_delta_size"]) == (5, 121, 64)
+        assert "lin1_roots" not in row
 
     def test_degree_three_reports_nine_roots(self, capsys):
         assert run(["bench", "--degrees", "3..3", "--seed", "7"]) == 0

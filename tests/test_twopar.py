@@ -362,7 +362,7 @@ class TestExtractRegularPart:
             d2 = abs(np.linalg.det(second(s.x, s.y)))
             assert d1 <= 1e-7 and d2 <= 1e-7
 
-    def test_ambiguous_gap_warning(self):
+    def test_ambiguous_gap_warning(self, caplog):
         rng = np.random.default_rng(10)
         u = np.linalg.qr(rng.uniform(-1, 1, (10, 10)))[0]
         v = np.linalg.qr(rng.uniform(-1, 1, (10, 10)))[0]
@@ -372,13 +372,23 @@ class TestExtractRegularPart:
         d0 = u @ np.diag(spectrum) @ v.T
         d1 = np.linalg.qr(rng.uniform(-1, 1, (10, 10)))[0]
         d2 = np.linalg.qr(rng.uniform(-1, 1, (10, 10)))[0]
-        _, log = extract_regular_part(DeltaTriple(d0, d1, d2))
-        assert log.warnings
+        deltas = DeltaTriple(d0, d1, d2)
+        # the log carries each ambiguity to the caller, so the logger reports
+        # it at INFO only, once per entry
+        with caplog.at_level(logging.WARNING, logger="detrep.twopar"):
+            _, log = extract_regular_part(deltas)
+        assert log.warnings and not caplog.records
+        with caplog.at_level(logging.INFO, logger="detrep.twopar"):
+            _, log = extract_regular_part(deltas)
+        logged = [r for r in caplog.records if r.name == "detrep.twopar"]
+        assert [(r.levelno, r.getMessage()) for r in logged] == [
+            (logging.INFO, w) for w in log.warnings
+        ]
 
     def test_noise_below_the_cutoff_is_never_rank(self, caplog):
         # a slab of two noise values far below the cutoff, 140x apart
         log, sv = StaircaseLog(), np.array([4.6e-15, 3.3e-17])
-        with caplog.at_level(logging.WARNING, logger="detrep.twopar"):
+        with caplog.at_level(logging.INFO, logger="detrep.twopar"):
             rank, kept, _, ambiguous = _decide_rank(sv, 1.5e-12, log, "slab")
         assert (rank, kept, ambiguous) == (0, 0.0, False)
         assert not log.warnings and not caplog.records
@@ -538,6 +548,44 @@ def test_deltas_beyond_the_bezout_bound_are_singular(kind, n1, n2, complex_coeff
     deltas = operator_determinants(*pencils_for(kind, p, q))
     if deltas.shape[0] > p.degree * q.degree:
         assert not is_delta0_nonsingular(deltas)
+
+
+def low_rank_triple(rng, m, k, ranks, complex_entries):
+    """An m x k triple whose matrices have the given ranks (rank 0 gives a
+    zero matrix)."""
+    def mat(rows, cols):
+        real = rng.normal(size=(rows, cols))
+        return real + 1j * rng.normal(size=(rows, cols)) if complex_entries else real
+
+    return DeltaTriple(*(mat(m, r) @ mat(r, k) for r in ranks))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["triple", "lin1", "lin2", "sparse"]), st.integers(1, 12),
+    st.integers(1, 12), st.integers(0, 12), st.integers(0, 12), st.booleans(),
+    st.floats(0.2, 1.0), st.integers(0, 2**32 - 1),
+)
+def test_every_staircase_step_shrinks_the_block(kind, m, k, r1, r2, complex_entries, density,
+                                                seed):
+    """A columns step turns an m x k block into (m - rho) x rank with
+    rank < k, a rows step (rank k < m) into k x (k - rho), so rows plus
+    columns fall with every step and the staircase ends within m + k - 1
+    steps.  Checked on random triples with a rank-deficient delta0 and
+    zero, low-rank or full delta1 and delta2, and on the pencils of random
+    sparse systems."""
+    rng = np.random.default_rng(seed)
+    if kind == "triple":
+        d0_rank = int(rng.integers(0, min(m, k)))
+        deltas = low_rank_triple(rng, m, k, (d0_rank, min(r1, m, k), min(r2, m, k)),
+                                 complex_entries)
+    else:  # m and k pick the degrees, 1 to 4
+        p, q = (sparse_polynomial(rng, 1 + n % 4, complex_entries, density) for n in (m, k))
+        deltas = operator_determinants(*pencils_for(kind, p, q))
+    reduced, log = extract_regular_part(deltas)
+    shapes = [step.shape for step in log.steps] + [reduced.shape]
+    assert all(sum(before) > sum(after) for before, after in zip(shapes, shapes[1:]))
+    assert len(log.steps) <= sum(deltas.shape) - 1
 
 
 @pytest.mark.parametrize("name, method, rank_tests", [
