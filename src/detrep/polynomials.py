@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgeev
+
+from ._lapack import zgeev
 
 # Coefficients at or below this fraction of the largest one count as
 # structural zeros when the exact degree is determined.

@@ -157,9 +157,14 @@ def _pick_rotation(p: BivariatePolynomial, norm: float) -> complex:
 
 def _rotate_leading_x(p: BivariatePolynomial, norm: float):
     """p (of coefficient norm `norm`) with a nonzero x^n coefficient, its
-    norm, and the rotate_y step that made it so (none if it was nonzero)."""
-    if abs(p.coeffs[p.degree, 0]) > DEGREE_TRIM_REL * norm:
+    norm, and the step that made it so (none if it was nonzero): the exact
+    swap of x and y when the y^n coefficient is nonzero, else rotate_y."""
+    n, tol = p.degree, DEGREE_TRIM_REL * norm
+    if abs(p.coeffs[n, 0]) > tol:
         return p, norm, ()
+    if abs(p.coeffs[0, n]) > tol:
+        swap = AffineSubstitution(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
+        return BivariatePolynomial(p.coeffs.T), norm, (SubstitutionStep("swap", swap),)
     gamma = _pick_rotation(p, norm)
     rot = AffineSubstitution.shear_y(gamma, 0.0)
     work = p.substitute(rot)

@@ -21,9 +21,8 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import zggev
 
+from ._lapack import zggev
 from .pencils import Pencil
 
 logger = logging.getLogger("detrep.twopar")
@@ -39,6 +38,8 @@ def _svd(mat, compute_uv=True):
     try:
         return np.linalg.svd(mat, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
+        import scipy.linalg  # here, so that only a failed gesdd pays for its import
+
         return scipy.linalg.svd(mat, compute_uv=compute_uv, lapack_driver="gesvd")
 
 
@@ -159,7 +160,7 @@ def _decide_rank(sv: np.ndarray, cutoff: float, log: StaircaseLog, context: str)
 
 def _eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and unit-norm right eigenvectors of the pencil (a, b) as
-    complex, as scipy's generalized `eig` gives them, straight from LAPACK
+    complex, as a generalized `eig` gives them, straight from LAPACK
     zggev: alpha/beta, inf where only beta vanishes, nan where both do."""
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")

@@ -143,12 +143,17 @@ class TestBuildTree:
             plain_tree(BivariatePolynomial.zero())
 
     def test_rotation_path_when_leading_x_term_missing(self):
-        p = BivariatePolynomial.from_terms({(4, 1): 1, (0, 5): 2, (2, 2): 1, (0, 0): 1, (1, 0): 1})
-        tree = plain_tree(p)
-        assert any(step.kind == "rotate_y" for step in tree.substitution_steps)
-        pencil = assemble_pencil_from_representation_tree(tree)
+        """Without x^n the tree is built on p(y, x) if it has y^n, else
+        after a rotation."""
         rng = np.random.default_rng(63)
-        check_determinant(pencil, p, rng)
+        for terms, kind in (
+            ({(4, 1): 1, (0, 5): 2, (2, 2): 1, (0, 0): 1, (1, 0): 1}, "swap"),
+            ({(4, 1): 1, (1, 4): 2, (2, 2): 1, (0, 0): 1, (1, 0): 1}, "rotate_y"),
+        ):
+            p = BivariatePolynomial.from_terms(terms)
+            tree = plain_tree(p)
+            assert [step.kind for step in tree.substitution_steps] == [kind]
+            check_determinant(assemble_pencil_from_representation_tree(tree), p, rng)
 
 
 class TestAssemble:
@@ -272,12 +277,16 @@ class TestQuarticSpecialCase:
             check_determinant(pencil, p, rng)
 
     def test_missing_leading_coefficient_rotates(self):
-        p = BivariatePolynomial.from_terms({(0, 4): 1, (3, 1): 1, (1, 1): 0.5, (0, 0): 1, (1, 0): 2})
-        pencil, sub = special_pencil(p)
-        assert pencil.size == 5
-        assert not (np.array_equal(sub.linear, np.eye(2)) and np.array_equal(sub.shift, np.zeros(2)))
+        """Without x^4 the quartic tree is built after a swap, or after a
+        rotation when y^4 is missing too."""
         rng = np.random.default_rng(71)
-        check_determinant(pencil, p, rng)
+        for top, kind in (((0, 4), "swap"), ((1, 3), "rotate_y")):
+            p = BivariatePolynomial.from_terms({top: 1, (3, 1): 1, (1, 1): 0.5, (0, 0): 1, (1, 0): 2})
+            assert build_tree(p).substitution_steps[0].kind == kind
+            pencil, sub = special_pencil(p)
+            assert pencil.size == 5
+            assert not (np.array_equal(sub.linear, np.eye(2)) and np.array_equal(sub.shift, np.zeros(2)))
+            check_determinant(pencil, p, rng)
 
     def test_double_double_steering_roots_fall_back(self):
         # quartic band (x^2 + y^2)^2 has only double steering roots
@@ -444,20 +453,45 @@ class TestLinearize:
         assert len(tree) == 10
         assert identity_defect(tree, p) < 1e-10
 
-    @pytest.mark.parametrize(
-        "n,kinds", [(6, ["rotate_y", "shear_x"]), (7, ["rotate_y", "shear_x", "shear_y"])]
-    )
+    @pytest.mark.parametrize("n,kinds", [
+        (6, ["swap", "shear_x"]),
+        (7, ["swap", "shear_x", "shear_y"]),
+        (6, ["rotate_y", "shear_x"]),
+        (7, ["rotate_y", "shear_x", "shear_y"]),
+    ])
     def test_rotated_tree_with_a_sheared_subtree(self, n, kinds):
-        """Without an x^n term the whole tree is built after a rotation, and
-        its cubic or quartic remainder after its own shears.  Undoing the
-        rotation must not undo those shears a second time."""
+        """Without an x^n term the whole tree is built after a swap (or,
+        without y^n too, a rotation), and its cubic or quartic remainder
+        after its own shears.  Undoing the swap or rotation must not undo
+        those shears a second time."""
         rng = np.random.default_rng(93 + n)
         for trial in range(3):
             c = random_polynomial(rng, n, complex_coeffs=(trial == 2)).coeffs.copy()
             c[n, 0] = 0.0
+            if kinds[0] == "rotate_y":
+                c[0, n] = 0.0
             p = BivariatePolynomial(c)
             tree = build_tree(p)
             assert [s.kind for s in tree.substitution_steps] == kinds
             assert identity_defect(tree, p) < 1e-9
             pencil = assemble_pencil_from_representation_tree(tree)
             check_determinant(pencil, p, rng, points=10, tol=1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.booleans())
+def test_tree_without_leading_x_is_the_transposed_tree(n, seed, complex_coeffs):
+    """Without x^n but with y^n, the tree is the tree of p(y, x) with b and
+    c exchanged in every form, so it is exact to the dense tree's rounding:
+    the plain construction reproduces p to 1e-13 of its scale."""
+    c = random_polynomial(np.random.default_rng(seed), n, complex_coeffs).coeffs.copy()
+    c[n, 0] = 0.0
+    p = BivariatePolynomial(c)
+    tree, ref = build_tree(p), build_tree(BivariatePolynomial(c.T))
+    assert [s.kind for s in tree.substitution_steps] == [
+        "swap", *(s.kind for s in ref.substitution_steps)
+    ]
+    assert tree.parents == ref.parents
+    for got, want in zip(tree.edges[1:] + tree.coeffs, ref.edges[1:] + ref.coeffs):
+        assert (got.a, got.b, got.c) == (want.a, want.c, want.b)
+    assert identity_defect(plain_tree(p), p) <= 1e-13

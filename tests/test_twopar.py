@@ -267,6 +267,36 @@ class TestEig:
         assert calls == []
 
 
+class TestSvdFallback:
+    """When numpy's gesdd fails to converge, `_svd` answers with gesvd."""
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("compute_uv", [False, True])
+    def test_gesdd_failure_falls_back_to_gesvd(self, monkeypatch, complex_entries, compute_uv):
+        rng = np.random.default_rng(42)
+        mat = rng.standard_normal((6, 4))
+        if complex_entries:
+            mat = mat + 1j * rng.standard_normal((6, 4))
+        calls = []
+        svd = np.linalg.svd
+
+        def failing_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_once)
+        got = twopar._svd(mat, compute_uv=compute_uv)
+        monkeypatch.undo()
+        assert calls == [1]
+        want = scipy.linalg.svd(mat, compute_uv=compute_uv, lapack_driver="gesvd")
+        got, want = (got, want) if compute_uv else ((got,), (want,))
+        for got_part, want_part in zip(got, want, strict=True):
+            assert got_part.dtype == want_part.dtype
+            assert np.array_equal(got_part, want_part)
+
+
 class TestExtractRegularPart:
     def test_nonsingular_input_untouched(self):
         rng = np.random.default_rng(5)
