@@ -48,7 +48,6 @@ from .solver import (
     DegenerateSystemError,
     RootRecord,
     SolveOptions,
-    accuracy_measure,
     newton_refine,
     solve_system,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "RepresentationTree",
     "RootRecord",
     "SolveOptions",
-    "accuracy_measure",
     "assemble_pencil_from_monomial_tree",
     "assemble_pencil_from_representation_tree",
     "build_tree",

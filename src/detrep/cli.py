@@ -120,9 +120,8 @@ def cmd_solve(args) -> int:
         dump = {
             "swapped": diagnostics.swapped,
             "arithmetic": "real" if np.isrealobj(result.deltas.delta0) else "complex",
-            "delta0": serialize._matrix_to_json(result.deltas.delta0),
-            "delta1": serialize._matrix_to_json(result.deltas.delta1),
-            "delta2": serialize._matrix_to_json(result.deltas.delta2),
+            **{name: serialize._matrix_to_json(getattr(result.deltas, name))
+               for name in ("delta0", "delta1", "delta2")},
             "staircase": [dataclasses.asdict(s) for s in steps],
             "warnings": diagnostics.warnings,
         }
@@ -225,16 +224,8 @@ def cmd_bench(args) -> int:
     headers = list(rows[0].keys())
     print("  ".join(f"{h:>18}" for h in headers))
     for row in rows:
-        cells = []
-        for h in headers:
-            val = row.get(h)
-            if val is None:  # a method that raised has no accuracy
-                val = "-"
-            if isinstance(val, float):
-                cells.append(f"{val:>18.3e}")
-            else:
-                cells.append(f"{val:>18}")
-        print("  ".join(cells))
+        cells = ("-" if row.get(h) is None else row[h] for h in headers)  # None: the method raised
+        print("  ".join(f"{v:>18.3e}" if isinstance(v, float) else f"{v:>18}" for v in cells))
     if args.output:
         serialize.dump(rows, args.output)
     for w in warnings:

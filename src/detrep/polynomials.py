@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import zgeev
+from ._lapack import eigvals
 
 # Coefficients at or below this fraction of the largest one count as
 # structural zeros when the exact degree is determined.
@@ -319,9 +319,7 @@ def univariate_roots(coeffs) -> np.ndarray:
     else:
         companion = np.eye(m, k=-1, dtype=complex)
         companion[:, -1] = -monic[:-1]
-        roots, _, _, info = zgeev(companion, compute_vl=0, compute_vr=0, overwrite_a=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"eigenvalues did not converge (zgeev info {info})")
+        roots = eigvals(companion)
     # quantize the modulus and real-part keys so that roots equal up to
     # rounding noise actually reach the tie-breaks
     roots = roots.tolist()

@@ -145,12 +145,8 @@ def _pick_rotation(p: BivariatePolynomial, norm: float) -> complex:
     top = _top_slice(p)
     # substituted x^n coefficient is sum_i top[n-i] gamma^i, i.e. polyval
     # of the low-first slice read as a high-first coefficient list
-    best, best_val = None, -1.0
-    for gamma in (1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 3.0, -3.0):
-        val = abs(np.polyval(top, gamma))
-        if val > best_val:
-            best, best_val = gamma, val
-    if best_val <= DEGREE_TRIM_REL * norm:  # pragma: no cover
+    best = max((1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 3.0, -3.0), key=lambda g: abs(np.polyval(top, g)))
+    if abs(np.polyval(top, best)) <= DEGREE_TRIM_REL * norm:  # pragma: no cover
         raise DegenerateInputError("cannot make the leading x-coefficient nonzero")
     return best
 
@@ -281,12 +277,10 @@ def _main_branch_tree(
     n = p.degree
     c = p.coeffs
     if n == 1:
-        return RepresentationTree(
-            (None,), (None,), (LinearForm(c[0, 0], c[1, 0], c[0, 1]),)
-        )
+        return RepresentationTree((None,), (None,), (LinearForm(c[0, 0], c[1, 0], c[0, 1]),))
 
     zeros = univariate_roots(_top_slice(p))
-    parents = [None] + [i for i in range(n - 1)]
+    parents = [None, *range(n - 1)]
     edges: list = [None] + [LinearForm(0.0, 1.0, -zeros[k]) for k in range(n - 1)]
 
     # the x^(k-2) y coefficient of node k-1, prod_{i<k-1} (x - z_i y)
@@ -320,19 +314,12 @@ def _main_branch_tree(
         return RepresentationTree(tuple(parents), tuple(edges), tuple(coeffs))
     coeffs.append(LinearForm())
 
+    # the subtree hangs from the bridge by a y-edge, its nodes after it
     sub = _build(s, allow_special)
-    offset = bridge + 1
-    for i in range(len(sub)):
-        if i == 0:
-            parents.append(bridge)
-            edges.append(LinearForm(0.0, 0.0, 1.0))
-        else:
-            parents.append(sub.parents[i] + offset)
-            edges.append(sub.edges[i])
-        coeffs.append(sub.coeffs[i])
-    return RepresentationTree(
-        tuple(parents), tuple(edges), tuple(coeffs), sub.substitution_steps
-    )
+    parents += [bridge, *(i + bridge + 1 for i in sub.parents[1:])]
+    edges += [LinearForm(0.0, 0.0, 1.0), *sub.edges[1:]]
+    coeffs += sub.coeffs
+    return RepresentationTree(tuple(parents), tuple(edges), tuple(coeffs), sub.substitution_steps)
 
 
 def _special_tree(p: BivariatePolynomial, norm: float):

@@ -149,13 +149,6 @@ def _polish(tables, scale, x, y, steps):
     return x, y, refined, absf, sv
 
 
-def accuracy_measure(p: BivariatePolynomial, q: BivariatePolynomial, x, y) -> float:
-    """max(|p|, |q|) times the spectral norm of the inverse Jacobian;
-    infinity when the Jacobian is singular."""
-    _, absf, _, sv = _evaluate(_stack_tables(p, q), np.array([complex(x)]), np.array([complex(y)]))
-    return float(_measure(absf, sv)[2][0])
-
-
 def newton_refine(
     p: BivariatePolynomial, q: BivariatePolynomial, x0: complex, y0: complex, steps: int = 2
 ) -> tuple[complex, complex, bool]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import zggev
+from ._lapack import eig
 from .pencils import Pencil
 
 logger = logging.getLogger("detrep.twopar")
@@ -158,23 +158,6 @@ def _decide_rank(sv: np.ndarray, cutoff: float, log: StaircaseLog, context: str)
     return rank, kept, dropped, ambiguous
 
 
-def _eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and unit-norm right eigenvectors of the pencil (a, b) as
-    complex, as a generalized `eig` gives them, straight from LAPACK
-    zggev: alpha/beta, inf where only beta vanishes, nan where both do."""
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    # the queried workspace keeps ggev's blocked QR, and so its rounding,
-    # on the large blocks; the query itself costs a few microseconds
-    lwork = int(zggev(a, b, lwork=-1)[-2][0].real)
-    alpha, beta, _, vr, _, info = zggev(a, b, compute_vl=0, lwork=lwork)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"generalized eigensolve (ggev) failed, info {info}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(beta != 0, alpha / beta, np.where(alpha != 0, np.inf, complex(np.nan, np.nan)))
-    return w, vr / np.linalg.norm(vr, axis=0)
-
-
 def is_delta0_nonsingular(deltas: DeltaTriple, rank_tol: float | None = None) -> bool:
     """The one regularity decision for the original delta0: σmin > rel·σmax."""
     m, k = deltas.shape
@@ -204,7 +187,7 @@ def solve_regular(deltas: DeltaTriple,
     m, k = deltas.shape
     if m != k:
         raise ValueError(f"a regular block is square, got {m}x{k}")
-    xs, vecs = _eig(deltas.delta1, deltas.delta0)
+    xs, vecs = eig(deltas.delta1, deltas.delta0)
 
     order = np.lexsort((xs.imag, xs.real))
     clusters = []
@@ -241,7 +224,7 @@ def solve_regular(deltas: DeltaTriple,
         left = np.linalg.qr(deltas.delta0 @ basis)[0]
         g0 = left.conj().T @ deltas.delta0 @ basis
         g2 = left.conj().T @ deltas.delta2 @ basis
-        ys, small_vecs = _eig(g2, g0)
+        ys, small_vecs = eig(g2, g0)
         for i in range(size):
             w = basis @ small_vecs[:, i]
             norm = np.linalg.norm(w)

@@ -22,7 +22,9 @@ def test_dump_and_compare(tmp_path):
                    "--seed", 0, "--systems", 3, out)
         assert done.returncode == 0, done.stderr
         dumps.append(out)
-    records = pickle.loads(dumps[0].read_bytes())["records"]
+    data = pickle.loads(dumps[0].read_bytes())
+    assert data["lapack"].startswith("zggev ") and "; numpy LAPACK " in data["lapack"]
+    records = data["records"]
     assert len(records) == 3
     for rec in records:
         assert rec["outcome"] == "ok" and rec["bezout"] == 4
@@ -33,14 +35,17 @@ def test_dump_and_compare(tmp_path):
     assert same.returncode == 0, same.stdout
     assert "identical 3, within rtol 1e-12 0" in same.stdout
     assert "outcomes A: direct 3, swap 0, raise 0, short 0" in same.stdout
+    assert f"LAPACK B: {data['lapack']}" in same.stdout and "note:" not in same.stdout
 
     # a root moved beyond the tolerance is a change, and the tool says so
     data = pickle.loads(dumps[1].read_bytes())
     x, y, *rest = data["records"][1]["roots"][0]
     data["records"][1]["roots"][0] = (x * (1 + 1e-9), y, *rest)
+    data["lapack"] = "zggev elsewhere"
     dumps[1].write_bytes(pickle.dumps(data))
     moved = run("compare", *dumps, "--rtol", 1e-12)
     assert moved.returncode == 1
     assert "identical 2, within rtol 1e-12 0" in moved.stdout
     assert "system 1: direct -> direct; roots move by" in moved.stdout
+    assert "LAPACK B: zggev elsewhere" in moved.stdout and "note: the two dumps" in moved.stdout
     assert run("compare", *dumps, "--rtol", 1e-6).returncode == 0

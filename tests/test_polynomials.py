@@ -11,7 +11,7 @@ from detrep import (
     partial_derivatives,
     univariate_roots,
 )
-from detrep import polynomials, serialize
+from detrep import _lapack, serialize
 from detrep.polynomials import DEGREE_TRIM_REL, _trim_table, substitute_table
 
 from oracles import (
@@ -151,10 +151,9 @@ class TestUnivariateRoots:
 
     @pytest.mark.parametrize("degree", range(2, 9))
     def test_bitwise_the_sorted_numpy_eigenvalues(self, degree):
-        """scipy's zgeev gives `np.linalg.eigvals`'s roots byte for byte.
-        The two come from separately bundled LAPACK builds (with numpy
-        2.4.6 and scipy 1.17.1: OpenBLAS 0.3.31 and 0.3.30), so the
-        equality holds for those builds; LAPACK does not promise it."""
+        """The roots are `np.linalg.eigvals`'s byte for byte: both run
+        numpy's own zgeev kernel on the same companion matrix, so the
+        equality holds by construction on any build."""
         rng = np.random.default_rng(400 + degree)
         for trial in range(40):
             c = rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1)
@@ -166,11 +165,15 @@ class TestUnivariateRoots:
             assert univariate_roots(c).tobytes() == companion_eigvals(c).tobytes()
 
     def test_unconverged_eigensolve_raises(self, monkeypatch):
-        def failing_zgeev(a, **kwargs):
-            return np.zeros(a.shape[0], dtype=complex), None, None, 1
+        """numpy's zgeev kernel reports a failure as nan eigenvalues with
+        the invalid flag raised; `_lapack.eigvals` turns it into an error."""
+        class FailingKernel:
+            @staticmethod
+            def eigvals(a, signature):
+                return np.sqrt(np.full(len(a), -1.0)).astype(complex)
 
-        monkeypatch.setattr(polynomials, "zgeev", failing_zgeev)
-        with pytest.raises(np.linalg.LinAlgError):
+        monkeypatch.setattr(_lapack, "_umath_linalg", FailingKernel)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             univariate_roots([6, -5, -2, 1])
 
 

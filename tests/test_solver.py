@@ -14,7 +14,6 @@ from detrep import (
     BivariatePolynomial,
     DegenerateSystemError,
     SolveOptions,
-    accuracy_measure,
     newton_refine,
     solve_system,
 )
@@ -28,6 +27,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
+
+
+def accuracy(p, q, x, y) -> float:
+    """The solver's accuracy rule at one point: `_measure` on `_evaluate`'s
+    |p|, |q| and Jacobian singular values."""
+    point = np.array([complex(x)]), np.array([complex(y)])
+    _, absf, _, sv = solver._evaluate(solver._stack_tables(p, q), *point)
+    return float(solver._measure(absf, sv)[2][0])
 
 
 # degree-4 system 294 (0-based) of the `detrep bench --seed 0` stream: p then
@@ -118,12 +125,12 @@ class TestAccuracyMeasure:
     def test_zero_at_exact_root(self):
         p = BivariatePolynomial.from_terms({(1, 0): 1.0, (0, 0): -1.0})
         q = BivariatePolynomial.from_terms({(0, 1): 1.0, (0, 0): -1.0})
-        assert accuracy_measure(p, q, 1.0, 1.0) == 0.0
+        assert accuracy(p, q, 1.0, 1.0) == 0.0
 
     def test_identity_jacobian_returns_residual(self):
         p = BivariatePolynomial.from_terms({(1, 0): 1.0, (0, 0): -1.0})
         q = BivariatePolynomial.from_terms({(0, 1): 1.0, (0, 0): -1.0})
-        r = accuracy_measure(p, q, 1.25, 1.0)
+        r = accuracy(p, q, 1.25, 1.0)
         assert r == pytest.approx(0.25)
 
     def test_matches_two_by_two_svd_identity(self):
@@ -137,12 +144,12 @@ class TestAccuracyMeasure:
             x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
             jac = np.array([[px(x, y), py(x, y)], [qx(x, y), qy(x, y)]])
             want = max(abs(p(x, y)), abs(q(x, y))) / smallest_singular_value_2x2(jac)
-            assert accuracy_measure(p, q, x, y) == pytest.approx(want, rel=1e-10)
+            assert accuracy(p, q, x, y) == pytest.approx(want, rel=1e-10)
 
     def test_singular_jacobian_is_infinite(self):
         p = BivariatePolynomial.from_terms({(2, 0): 1.0})
         q = BivariatePolynomial.from_terms({(0, 2): 1.0})
-        assert accuracy_measure(p, q, 0.0, 0.0) == float("inf")
+        assert accuracy(p, q, 0.0, 0.0) == float("inf")
 
     def test_rank_one_jacobian_is_infinite(self):
         # LAPACK returns about 1e-16, not 0, for the smallest singular value
@@ -150,7 +157,7 @@ class TestAccuracyMeasure:
         # must the accuracy rule
         p = BivariatePolynomial.from_terms({(2, 0): 1.0, (0, 2): 1.0})
         q = BivariatePolynomial.from_terms({(1, 0): 3 + 1j, (0, 1): 2 - 2j})
-        assert accuracy_measure(p, q, 0, 0) == float("inf")
+        assert accuracy(p, q, 0, 0) == float("inf")
 
 
 class TestSolveSystem:
@@ -228,7 +235,7 @@ class TestSolveSystem:
         for rec in roots[:5]:
             x0 = rec.x + 1e-4
             y0 = rec.y - 1e-4
-            if accuracy_measure(p, q, x0, y0) > 1e-2:
+            if accuracy(p, q, x0, y0) > 1e-2:
                 continue
             before = max(abs(p(x0, y0)), abs(q(x0, y0)))
             x1, y1, _ = newton_refine(p, q, x0, y0, steps=1)
@@ -286,7 +293,7 @@ class TestSolveSystem:
         assert (rec.x, rec.y, rec.multiplicity) == (0.0, 0.0, 4)
         assert rec.residual == 0.0
         assert rec.condition == rec.accuracy == float("inf")
-        assert rec.accuracy == accuracy_measure(p, q, rec.x, rec.y)
+        assert rec.accuracy == accuracy(p, q, rec.x, rec.y)
 
     def test_non_zero_dimensional_system_rejected(self):
         # the staircase ends in a k x 0 block, an empty regular part

@@ -24,12 +24,12 @@ from detrep import (
     solve_system,
     sparse_tree_heuristic,
 )
-from detrep import solver, twopar
+from detrep import _lapack, solver, twopar
+from detrep._lapack import eig as _eig
 from detrep.twopar import (
     StaircaseLog,
     _decide_rank,
     _default_rank_tol,
-    _eig,
     is_delta0_nonsingular,
     solve_full,
 )
@@ -242,11 +242,11 @@ class TestEig:
             _eig(np.eye(3, dtype=complex), a)
 
     def test_lapack_failure_raises(self, monkeypatch):
-        def failing_ggev(a, b, **kwargs):
+        def failing_ggev(a, b):
             n = len(a)
-            return np.ones(n), np.ones(n), None, np.eye(n), np.full(1, 2.0 * n), 1
+            return np.ones(n, dtype=complex), np.ones(n, dtype=complex), np.eye(n, dtype=complex), 1
 
-        monkeypatch.setattr(twopar, "zggev", failing_ggev)
+        monkeypatch.setattr(_lapack, "_ggev", failing_ggev)
         with pytest.raises(np.linalg.LinAlgError, match="info 1"):
             _eig(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
 

@@ -10,15 +10,18 @@ workload's linearization, and pickles one record per system to OUT: the
 outcome ("ok" or the exception type), the swap flag, the warnings,
 `rejected`, every root record, the Bezout number, and SHA-256 digests of
 the two pencils of the first orientation (signed zeros folded to +0).
-BLAS runs on one thread unless OPENBLAS_NUM_THREADS says otherwise, so a
-dump repeats exactly.
+The dump also names the LAPACK that served it: the zggev symbol detrep
+bound, or the scipy wrapper it fell back to, and the LAPACK numpy was built
+with, since a build is a rounding source.  BLAS runs on one thread unless
+OPENBLAS_NUM_THREADS says otherwise, so a dump repeats exactly.
 
 `compare` sorts the systems of two dumps into identical records, records
 that differ only in root values within relative tolerance R (pencil
 digests and residual, condition and accuracy figures may differ there),
-and changed ones.  It prints each side's outcome table and every changed
-system, and exits 1 when any system changed: another outcome, swap flag,
-warning, `rejected`, root count or multiplicity, or a root beyond R.
+and changed ones.  It prints each side's LAPACK, noting when they differ,
+each side's outcome table and every changed system, and exits 1 when any
+system changed: another outcome, swap flag, warning, `rejected`, root count
+or multiplicity, or a root beyond R.
 """
 
 from __future__ import annotations
@@ -44,6 +47,16 @@ def pencil_digest(pencil) -> str:
     for mat in (pencil.A, pencil.B, pencil.C):
         digest.update(np.ascontiguousarray(mat + 0.0).tobytes())
     return digest.hexdigest()
+
+
+def lapack_record() -> str:
+    """The zggev that the imported detrep calls and numpy's LAPACK build."""
+    from detrep import _lapack
+
+    # trees that predate the binding load zggev from scipy's _flapack
+    zggev = getattr(_lapack, "GGEV_SYMBOL", "scipy _flapack")
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    return f"zggev {zggev}; numpy LAPACK {lapack.get('name')} {lapack.get('version')}"
 
 
 def dump(src: str, workload: str, seed: int, systems: int, out: str) -> None:
@@ -81,7 +94,8 @@ def dump(src: str, workload: str, seed: int, systems: int, out: str) -> None:
             "pencils": pencils,
         })
     with open(out, "wb") as fh:
-        pickle.dump({"workload": workload, "seed": seed, "records": records}, fh)
+        pickle.dump({"workload": workload, "seed": seed, "lapack": lapack_record(),
+                     "records": records}, fh)
 
 
 def outcome_label(rec) -> str:
@@ -141,6 +155,11 @@ def compare(path_a: str, path_b: str, rtol: float) -> int:
         if kind == "changed":
             changed.append((i, reason, outcome_label(ra), outcome_label(rb)))
     print(f"{a['workload']} seed {a['seed']}, {len(pairs)} systems")
+    lapacks = [data.get("lapack", "not recorded") for data in (a, b)]
+    for side, lapack in zip("AB", lapacks):
+        print(f"  LAPACK {side}: {lapack}")
+    if lapacks[0] != lapacks[1]:
+        print("  note: the two dumps ran on different LAPACKs, a rounding source of its own")
     for side, recs in (("A", a["records"]), ("B", b["records"])):
         table = Counter(outcome_label(r) for r in recs[: len(pairs)])
         print(f"  outcomes {side}: " + ", ".join(f"{k} {table[k]}" for k in
