@@ -61,6 +61,8 @@ def _ggev(a: np.ndarray, b: np.ndarray):
 def eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues alpha/beta (inf where only beta vanishes, nan where both
     do) and unit-norm right eigenvectors of the pencil (a, b), from zggev."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != a.shape:
+        raise ValueError(f"expected two square matrices of one shape, got {a.shape} and {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     alpha, beta, vr, info = _ggev(a, b)

@@ -47,16 +47,10 @@ def cmd_linearize(args) -> int:
 
     try:
         if args.method == "lin1":
-            if args.sparse:
-                tree = monomial_tree.sparse_tree_heuristic(poly)
-            else:
-                tree = monomial_tree.generic_tree(poly.degree)
+            tree = monomial_tree.sparse_tree_heuristic(poly)
             pencil = monomial_tree.assemble_pencil_from_monomial_tree(poly, tree)
             tree_json = serialize.monomial_tree_to_json(tree)
         else:
-            if args.sparse:
-                print("error: --sparse applies to method 'lin1' only", file=sys.stderr)
-                return EXIT_FAILURE
             if isinstance(poly, MatrixBivariatePolynomial):
                 print("error: method 'lin2' supports scalar polynomials only", file=sys.stderr)
                 return EXIT_FAILURE
@@ -183,7 +177,7 @@ def _bench_row(n: int, seed: int, sizes_only: bool, opts: solver.SolveOptions,
         return BivariatePolynomial(table)
 
     p, q = rand_poly(), rand_poly()
-    lin1_size = monomial_tree.generic_tree_size(n)
+    lin1_size = len(monomial_tree.sparse_tree_heuristic(p))
     lin2_size = representation_tree.linearize(p).size
     row = {
         "degree": n,
@@ -261,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lin = sub.add_parser("linearize", help="build a pencil A + xB + yC for a polynomial file")
     p_lin.add_argument("input", help="polynomial JSON file")
     p_lin.add_argument("--method", choices=("lin1", "lin2"), default="lin1")
-    p_lin.add_argument("--sparse", action="store_true",
-                       help="with --method lin1, use the small-tree heuristic")
     p_lin.add_argument("--output", help="write the pencil JSON here instead of stdout")
     p_lin.set_defaults(func=cmd_linearize)
 

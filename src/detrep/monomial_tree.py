@@ -285,13 +285,18 @@ EXACT_SEARCH_MAX_TERMINALS = 20
 
 
 def sparse_tree_heuristic(P) -> MonomialTree:
-    """A small valid tree for the given polynomial, never larger than the
-    generic tree.  Below the exact-search cap the minimum is found by
-    enumeration; beyond it a greedy terminal-connection pass runs, and the
-    pruned generic tree acts as a safety net (and wins ties)."""
+    """lin1's tree: a small valid tree for the polynomial, never larger than
+    the generic tree, which full support gets without a search.  Below the
+    exact-search cap the minimum is found by enumeration; beyond it a greedy
+    terminal-connection pass runs, and the pruned generic tree acts as a
+    safety net (and wins ties)."""
     n = P.degree
     if n < 1:
         raise ValueError("degree must be at least 1")
+    # count the terms (nonzero blocks of a matrix polynomial; the table is 0 past the degree)
+    support = P.coeffs if P.coeffs.ndim == 2 else P.coeffs.any(axis=(2, 3))
+    if np.count_nonzero(support) == (n + 1) * (n + 2) // 2:
+        return generic_tree(n)
     constraints = _constrained_terms(P)
     fallback = _prune_generic(P)
     if n <= EXACT_SEARCH_MAX_DEGREE and len(constraints) <= EXACT_SEARCH_MAX_TERMINALS:

@@ -81,7 +81,7 @@ class SolveDiagnostics:
 
 def linearize_polynomial(p: BivariatePolynomial, method: str) -> Pencil:
     if method == "lin1":
-        tree = monomial_tree.generic_tree(p.degree)
+        tree = monomial_tree.sparse_tree_heuristic(p)
         return monomial_tree.assemble_pencil_from_monomial_tree(p, tree)
     if method in ("lin2", "auto"):
         return representation_tree.linearize(p)

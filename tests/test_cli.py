@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from detrep import build_tree, cli, serialize, solver, twopar
-from detrep.polynomials import BivariatePolynomial
+from detrep import (build_tree, cli, generic_tree_size, serialize, solver, sparse_tree_heuristic,
+                    twopar)
+from detrep.polynomials import BivariatePolynomial, MatrixBivariatePolynomial
 from detrep.solver import linearize_polynomial
 
 from test_polynomials import CUBIC
@@ -82,11 +83,15 @@ class TestLinearize:
         assert exc.value.code == 1
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_sparse_needs_lin1(self, cubic_file, capsys):
-        assert run(["linearize", cubic_file, "--method", "lin2", "--sparse"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: --sparse applies to method 'lin1' only")
-        assert captured.out == ""
+    def test_sparse_flag_is_refused(self, cubic_file, capsys):
+        """lin1 always builds the smallest tree, so there is no flag for it."""
+        for method in ("lin1", "lin2"):
+            with pytest.raises(SystemExit) as exc:
+                run(["linearize", cubic_file, "--method", method, "--sparse"])
+            assert exc.value.code == 1
+            captured = capsys.readouterr()
+            assert "error: unrecognized arguments: --sparse" in captured.err
+            assert captured.out == ""
 
     def test_degree_one_single_entry(self, tmp_path):
         poly = tmp_path / "lin.json"
@@ -110,8 +115,8 @@ class TestLinearize:
         assert run(["linearize", str(bad)]) == 1
         assert "bad.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--method", "lin1"], ["--method", "lin1", "--sparse"],
-                                       ["--method", "lin2"]], ids=["lin1", "sparse", "lin2"])
+    @pytest.mark.parametrize("flags", [["--method", "lin1"], ["--method", "lin2"]],
+                             ids=["lin1", "lin2"])
     @pytest.mark.parametrize("coeffs", [[[5]], [[0]]], ids=["constant", "zero"])
     def test_constant_polynomial_is_an_error_not_a_traceback(self, tmp_path, capsys, flags, coeffs):
         poly = tmp_path / "constant.json"
@@ -122,7 +127,7 @@ class TestLinearize:
         assert "at least 1" in captured.err
         assert captured.out == ""
 
-    def test_sparse_flag(self, tmp_path):
+    def test_lin1_gives_sparse_input_a_small_tree(self, tmp_path):
         poly = tmp_path / "sparse.json"
         serialize.dump(
             serialize.polynomial_to_json(
@@ -131,9 +136,8 @@ class TestLinearize:
             poly,
         )
         out = tmp_path / "out.json"
-        assert run(["linearize", str(poly), "--method", "lin1", "--sparse",
-                    "--output", str(out)]) == 0
-        assert json.loads(out.read_text())["size"] <= 17
+        assert run(["linearize", str(poly), "--method", "lin1", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["size"] <= 17  # the generic tree has 29 nodes
 
 
 class TestSolve:
@@ -334,6 +338,21 @@ class TestVerify:
         pencil = tmp_path / "pencil.json"
         assert run(["linearize", cubic_file, "--method", "lin2", "--output", str(pencil)]) == 0
         assert run(["verify", str(pencil), cubic_file]) == 0
+        assert "max relative determinant error" in capsys.readouterr().out
+
+    def test_sparse_matrix_polynomial_round_trip(self, tmp_path, capsys):
+        """lin1 builds the small tree for matrix input too, and its pencil
+        verifies against det P(x, y)."""
+        rng = np.random.default_rng(46)
+        blocks = {t: rng.uniform(-1, 1, (2, 2)) for t in [(0, 0), (5, 0), (0, 5), (2, 2)]}
+        P = MatrixBivariatePolynomial.from_blocks(blocks, 2)
+        poly, pencil = tmp_path / "matrix.json", tmp_path / "pencil.json"
+        serialize.dump(serialize.polynomial_to_json(P), poly)
+        assert run(["linearize", str(poly), "--method", "lin1", "--output", str(pencil)]) == 0
+        doc = json.loads(pencil.read_text())
+        assert doc["size"] == len(sparse_tree_heuristic(P)) < generic_tree_size(5)
+        assert doc["block_size"] == 2
+        assert run(["verify", str(pencil), str(poly)]) == 0
         assert "max relative determinant error" in capsys.readouterr().out
 
     def test_perturbed_pencil_fails(self, cubic_file, tmp_path):

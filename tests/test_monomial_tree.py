@@ -292,12 +292,19 @@ class TestSparseTree:
         rng = np.random.default_rng(27)
         check_determinant(pencil, SPARSE6, rng)
 
-    @pytest.mark.parametrize("n", [3, 4, 6, 7, 9])
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_dense_input_returns_generic_tree(self, n):
+        """Full support takes the shortcut to the generic tree, and the
+        search finds that same tree: dropping the constant, which
+        constrains nothing, sends the same terms through the search."""
         rng = np.random.default_rng(28 + n)
         p = random_polynomial(rng, n)
-        tree = sparse_tree_heuristic(p)
-        assert set(tree.nodes) == set(generic_tree(n).nodes)
+        assert sparse_tree_heuristic(p) == generic_tree(n)
+        table = p.coeffs.copy()
+        table[0, 0] = 0
+        assert sparse_tree_heuristic(BivariatePolynomial(table)) == generic_tree(n)
+        blocks = MatrixBivariatePolynomial(p.coeffs[:, :, None, None] * np.eye(2))
+        assert sparse_tree_heuristic(blocks) == generic_tree(n)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_exact_search_size_against_enumeration(self, seed):

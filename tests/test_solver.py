@@ -16,6 +16,7 @@ from detrep import (
     SolveOptions,
     newton_refine,
     solve_system,
+    sparse_tree_heuristic,
 )
 from detrep import serialize, solver, twopar
 from detrep.solver import SolveDiagnostics
@@ -206,6 +207,19 @@ class TestSolveSystem:
         records = solve_system(p, q)
         assert sum(r.multiplicity for r in records) == n * n
         assert max(r.accuracy for r in records) <= 1e-6
+
+    def test_lin1_builds_the_smallest_trees(self):
+        """lin1's pencils come from the sparse-tree search, here smaller
+        than the generic trees (8 and 11 nodes)."""
+        p = BivariatePolynomial.from_terms({(4, 0): 1, (0, 4): 1, (1, 1): 0.5, (0, 0): -1})
+        q = BivariatePolynomial.from_terms({(5, 0): 1, (0, 5): 2, (2, 2): -0.7, (0, 0): -1})
+        diag = SolveDiagnostics()
+        records = solve_system(p, q, SolveOptions(linearization="lin1"), diag)
+        tree_p, tree_q = sparse_tree_heuristic(p), sparse_tree_heuristic(q)
+        assert (len(tree_p), len(tree_q)) == (7, 10)
+        assert not diag.swapped
+        assert diag.result.deltas.shape[0] == len(tree_p) * len(tree_q)
+        assert sum(r.multiplicity for r in records) == 20
 
     def test_linearization_choices_agree(self):
         rng = np.random.default_rng(31)

@@ -241,6 +241,14 @@ class TestEig:
         with pytest.raises(ValueError, match="infs or NaNs"):
             _eig(np.eye(3, dtype=complex), a)
 
+    @pytest.mark.parametrize("a, b", [
+        (np.diag([1.0, 2.0, 3.0]), np.ones(3)),  # numpy would broadcast b into the buffer
+        (np.ones((2, 3)), np.ones((2, 3))),
+    ], ids=["vector-b", "non-square"])
+    def test_mis_shaped_pencil_raises(self, a, b):
+        with pytest.raises(ValueError, match="square matrices of one shape"):
+            _eig(a, b)
+
     def test_lapack_failure_raises(self, monkeypatch):
         def failing_ggev(a, b):
             n = len(a)
