@@ -31,12 +31,14 @@ def eigvals(a: np.ndarray) -> np.ndarray:
 @functools.cache
 def _layout(n: int):
     """zggev's n, 1 and queried lwork (it keeps ggev's blocked QR) by reference,
-    and where A, B, alpha, beta, VR, WORK and RWORK end in one complex buffer."""
+    where A, B, alpha, beta, VR, WORK and RWORK end in one complex buffer
+    (in entries), and the buffer's ctypes array type."""
     ints, work = [_int(v) for v in (n, 1, -1, 0)], np.zeros(1, dtype=complex)
     (N, one, lwork, info), w = map(ctypes.byref, ints), work.ctypes.data
     _zggev(b"N", b"V", N, w, N, w, N, w, w, w, one, w, N, w, lwork, w, info, 1, 1)
     ints[2].value = int(work[0].real)
-    return (N, one, lwork), np.cumsum([0, n * n, n * n, n, n, n * n, ints[2].value, 4 * n]).tolist()
+    ends = np.cumsum([0, n * n, n * n, n, n, n * n, ints[2].value, 4 * n]).tolist()
+    return (N, one, lwork), ends, ctypes.c_double * (2 * ends[-1])
 
 
 def _ggev(a: np.ndarray, b: np.ndarray):
@@ -47,14 +49,17 @@ def _ggev(a: np.ndarray, b: np.ndarray):
         alpha, beta, _, vr, _, info = zggev(a, b, compute_vl=0, lwork=lwork)
         return alpha, beta, vr, info
     n = a.shape[0]
-    (N, one, lwork), ends = _layout(n)
-    buf, info = np.empty(ends[-1], dtype=complex), _int()
-    a_, b_, vr = (buf[ends[k]:ends[k + 1]].reshape(n, n).T for k in (0, 1, 4))
-    a_[...], b_[...] = a, b
-    base = buf.ctypes.data  # once: each .ctypes costs over a microsecond
-    at = [base + 16 * end for end in ends]
-    _zggev(b"N", b"V", N, at[0], N, at[1], N, at[2], at[3], at[5], one, at[4], N, at[5], lwork,
-           at[6], ctypes.byref(info), 1, 1)
+    (N, one, lwork), ends, array = _layout(n)
+    # a buffer per call, allocated by ctypes: its address costs a tenth of
+    # numpy's .ctypes.data, and a shared one would race between threads
+    raw, info = array(), _int()
+    buf, base = np.frombuffer(raw, dtype=complex), ctypes.addressof(raw)
+    ab = buf[:ends[2]].reshape(2, n, n)  # A and B, column-major
+    ab[0], ab[1] = a.T, b.T
+    _, b_at, alpha_at, beta_at, vr_at, work_at, rwork_at, _ = (base + 16 * end for end in ends)
+    _zggev(b"N", b"V", N, base, N, b_at, N, alpha_at, beta_at, work_at, one, vr_at, N, work_at,
+           lwork, rwork_at, ctypes.byref(info), 1, 1)
+    vr = buf[ends[4]:ends[5]].reshape(n, n).T
     return buf[ends[2]:ends[3]], buf[ends[3]:ends[4]], vr, info.value
 
 

@@ -212,42 +212,40 @@ def _prune_generic(P) -> set:
 def _exact_min_node_set(P) -> set:
     """Smallest covering node set by vectorized subset enumeration.
 
-    Grid nodes with j + k <= n - 1 number at most 21 for n <= 6, so all
-    2^(#nodes-1) subsets are screened with bit arithmetic: a subset is a
-    valid tree iff every member has a feasible parent inside it, and it
-    must cover every constrained term.
+    x^n has the one slot x^(n-1), so every cover holds the x-chain up to
+    it, and likewise the y-chain for y^n; those nodes are fixed.  Each
+    subset of the other grid nodes (j + k <= n - 1, at most 20 for n <= 6)
+    is screened with bit arithmetic: it is a valid tree iff every member
+    has a feasible parent in it or among the fixed nodes, and with them
+    it must cover every constrained term.  The first subset of fewest
+    nodes wins, the one the search over the whole grid finds.
     """
     n = P.degree
-    grid = sorted(
-        ((j, k) for j in range(n) for k in range(n - j)), key=_monomial_key
-    )
-    non_root = grid[1:]
-    bit = {nd: 1 << i for i, nd in enumerate(non_root)}
-    count = len(non_root)
+    constraints = _constrained_terms(P)
+    fixed = {(0, 0)}
+    for _, opts in constraints:
+        if len(opts) == 1:  # x^n or y^n
+            [(j, k)] = opts
+            fixed |= {(i, 0) for i in range(1, j + 1)} | {(0, i) for i in range(1, k + 1)}
+    grid = sorted(((j, k) for j in range(n) for k in range(n - j)), key=_monomial_key)
+    free = [nd for nd in grid if nd not in fixed]
+    bit = {nd: 1 << i for i, nd in enumerate(free)}
 
-    subsets = np.arange(1 << count, dtype=np.uint32)
+    def mask(nodes):  # 0 when a fixed node is among them: always satisfied
+        return 0 if any(nd in fixed for nd in nodes) else sum(bit[nd] for nd in nodes)
+
+    subsets = np.arange(1 << len(free), dtype=np.uint32)
     valid = np.ones(subsets.shape, dtype=bool)
-    for j, k in non_root:
-        if j + k == 1:
-            continue  # always attachable to the root; no other node's parent is the root
-        parent_mask = np.uint32(0)
-        if j > 0:
-            parent_mask |= np.uint32(bit[(j - 1, k)])
-        if k > 0:
-            parent_mask |= np.uint32(bit[(j, k - 1)])
-        member = (subsets & np.uint32(bit[(j, k)])) != 0
-        valid &= ~(member & ((subsets & parent_mask) == 0))
-    # constrained terms have degree >= 2, so none of their options is the root
-    for _, opts in _constrained_terms(P):
-        mask = np.uint32(0)
-        for opt in opts:
-            mask |= np.uint32(bit[opt])
-        valid &= (subsets & mask) != 0
-
+    for j, k in free:
+        parents = mask([nd for nd in ((j - 1, k), (j, k - 1)) if min(nd) >= 0])
+        if parents:
+            valid &= ((subsets & np.uint32(bit[(j, k)])) == 0) | ((subsets & np.uint32(parents)) != 0)
+    for covers in filter(None, (mask(opts) for _, opts in constraints)):
+        valid &= (subsets & np.uint32(covers)) != 0
     popcount = np.bitwise_count(subsets).astype(np.int64)
     popcount[~valid] = 1 << 30
     best = int(np.argmin(popcount))
-    return {(0, 0)} | {nd for nd in non_root if best & bit[nd]}
+    return fixed | {nd for nd in free if best & bit[nd]}
 
 
 def _greedy_node_set(P) -> set:

@@ -196,12 +196,15 @@ class AffineSubstitution:
     def inverse(self) -> "AffineSubstitution":
         """The map back, in closed form: the adjugate times the reciprocal
         of the determinant, exact for a shear's unit determinant."""
+        return AffineSubstitution(*map(np.array, self.inverse_entries()))
+
+    def inverse_entries(self) -> tuple:
+        """The linear part and shift of `inverse()` as Python scalars."""
         (a, b), (c, d) = self.linear.tolist()
         t0, t1 = self.shift.tolist()
         r = 1.0 / (a * d - b * c)
         e = ((d * r, -b * r), (-c * r, a * r))
-        shift = [-(row[0] * t0 + row[1] * t1) for row in e]
-        return AffineSubstitution(np.array(e), np.array(shift))
+        return e, [-(row[0] * t0 + row[1] * t1) for row in e]
 
     def compose(self, inner: "AffineSubstitution") -> "AffineSubstitution":
         """Map applying `inner` first: (x,y) = self(inner(x'', y''))."""
@@ -320,12 +323,15 @@ def univariate_roots(coeffs) -> np.ndarray:
         companion = np.eye(m, k=-1, dtype=complex)
         companion[:, -1] = -monic[:-1]
         roots = eigvals(companion)
+    return np.array(sort_roots(roots.tolist()))
+
+
+def sort_roots(roots: list) -> list:
+    """`univariate_roots`' order of a list of complex roots."""
     # quantize the modulus and real-part keys so that roots equal up to
     # rounding noise actually reach the tie-breaks
-    roots = roots.tolist()
     quantum = 1e-12 * max(max(map(abs, roots)), 1e-300)
-    roots.sort(key=lambda r: (round(abs(r) / quantum), round(r.real / quantum), r.imag))
-    return np.array(roots)
+    return sorted(roots, key=lambda r: (round(abs(r) / quantum), round(r.real / quantum), r.imag))
 
 
 def partial_derivatives(

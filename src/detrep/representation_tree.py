@@ -13,6 +13,7 @@ substituted subtree; the assembled pencil absorbs them in its A matrix).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .polynomials import (
     BivariatePolynomial,
     DegenerateInputError,
     LeadingCoefficientError,
+    sort_roots,
     substitute_table,
     times_linear,
     univariate_roots,
@@ -36,8 +38,7 @@ REMAINDER_CLEAN = 1e-12
 VANISH_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(NamedTuple):
     """a + b x + c y."""
 
     a: complex = 0.0
@@ -46,10 +47,6 @@ class LinearForm:
 
     def __call__(self, x: complex, y: complex) -> complex:
         return self.a + self.b * x + self.c * y
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0
 
 
 @dataclass(frozen=True)
@@ -85,30 +82,11 @@ class RepresentationTree:
         for i in range(1, m):
             if not 0 <= self.parents[i] < i:
                 raise ValueError(f"node {i} needs a parent with smaller index")
-            edge = self.edges[i]
-            if edge.b == 0 and edge.c == 0:
+            if self.edges[i].b == 0 and self.edges[i].c == 0:
                 raise ValueError(f"edge into node {i} must involve x or y")
 
     def __len__(self):
         return len(self.parents)
-
-    def _reconstruct_table(self, size: int) -> np.ndarray:
-        # sum of coefficient form times node product; a node's degree is its
-        # depth, at most len(self) - 1, so size len(self) + 1 holds every term
-        def form_table(f):  # the product of the root's 1 with the form f
-            table = np.zeros((size, size), dtype=complex)
-            table[0, 0], table[1, 0], table[0, 1] = f.a, f.b, f.c
-            return table
-
-        nodes = [None]
-        for i in range(1, len(self)):
-            e, parent = self.edges[i], self.parents[i]
-            nodes.append(times_linear(nodes[parent], e.a, e.b, e.c) if parent else form_table(e))
-        total = form_table(self.coeffs[0])
-        for f, table in zip(self.coeffs[1:], nodes[1:]):
-            if not f.is_zero:
-                total += times_linear(table, f.a, f.b, f.c)
-        return total
 
 
 def representation_tree_size(n: int) -> int:
@@ -125,9 +103,8 @@ def representation_tree_size(n: int) -> int:
 
 def assemble_pencil_from_representation_tree(tree: RepresentationTree) -> Pencil:
     """det(A + xB + yC) equals the polynomial the tree represents."""
-    edges = [(e.a, e.b, e.c) for e in tree.edges[1:]]
-    first_row = np.array([(f.a, f.b, f.c) for f in tree.coeffs], dtype=complex).T
-    return tree_pencil(tree.parents[1:], edges, first_row.reshape(3, -1, 1, 1))
+    first_row = np.array(tree.coeffs, dtype=complex).T
+    return tree_pencil(tree.parents[1:], tree.edges[1:], first_row.reshape(3, -1, 1, 1))
 
 
 # -- construction ----------------------------------------------------------------
@@ -172,11 +149,14 @@ def _undo_substitutions(parents, edges, coeffs, steps, own_steps=()) -> Represen
     triples, were built in the variables after `steps`, in the ones before
     them; the triples have already undone the tree's `own_steps`.  The map
     back composes the steps' exact inverses."""
-    back = steps[-1].map.inverse()
-    for step in steps[-2::-1]:
-        back = back.compose(step.map.inverse())
-    (e00, e01), (e10, e11) = back.linear.tolist()
-    t0, t1 = back.shift.tolist()
+    if len(steps) == 1:  # one inverse: its entries need no arrays
+        ((e00, e01), (e10, e11)), (t0, t1) = steps[0].map.inverse_entries()
+    else:
+        back = steps[-1].map.inverse()
+        for step in steps[-2::-1]:
+            back = back.compose(step.map.inverse())
+        (e00, e01), (e10, e11) = back.linear.tolist()
+        t0, t1 = back.shift.tolist()
     forms = [LinearForm(a + b * t0 + c * t1, b * e00 + c * e10, b * e01 + c * e11)
              for a, b, c in edges + coeffs]
     return RepresentationTree(
@@ -194,12 +174,12 @@ def _simple_roots(roots: list[complex]) -> list[complex]:
             if (sorted([abs(r - other) for other in roots]) + [np.inf])[1] > 1e-4 * (1.0 + abs(r))]
 
 
-def _shear(p: BivariatePolynomial, along_y: bool, norm: float):
-    """p (of coefficient norm `norm`) after x = x' + s y' + t killing its
-    y'^n and y'^(n-1) coefficients, with the recorded step; along_y, after
-    y = u x' + y' + v killing x'^n and x'^(n-1) (the same rule on the
-    transposed table).  None when no simple root of the steering slice
-    gives a usable shift.
+def _shear_parameters(c: np.ndarray, along_y: bool, norm: float):
+    """(s, t, h'(s), the other roots of h) of the shear x = x' + s y' + t
+    that kills the y'^n and y'^(n-1) coefficients of the table c (of
+    coefficient norm `norm`); along_y, (u, v, ...) of y = u x' + y' + v
+    killing x'^n and x'^(n-1) (the same rule on the transposed table).
+    None when no simple root of the steering slice gives a usable shift.
 
     In the table c the y'^n coefficient is h(s) = sum_i c[i, n-i] s^i and
     the y'^(n-1) coefficient is exactly g(s) + t h'(s), with
@@ -209,14 +189,12 @@ def _shear(p: BivariatePolynomial, along_y: bool, norm: float):
     larger |h'(s)| breaking a tie; a near-real candidate within a factor
     two of the best keeps real inputs on real shifts.  Both keys are
     quantized, so conjugate candidates tie in floating point as in exact
-    arithmetic, and `univariate_roots`' order puts Im s < 0 first.  One
-    correction pass against the substituted table keeps the killed
-    coefficient at the roundoff of a single substitution even when the
-    shift amplifies the coefficient scale; it reads that one entry from a
-    Horner run on row 0 (column 0 along y) of the table.
+    arithmetic, and `univariate_roots`' order puts Im s < 0 first.  The
+    substituted coefficients carry roundoff of eps times that factor, so a
+    choice with more than REMAINDER_TOL of it is not taken.
     """
-    n = p.degree
-    flipped = (p.coeffs.T if along_y else p.coeffs)[:, ::-1]
+    n = c.shape[0] - 1
+    flipped = (c.T if along_y else c)[:, ::-1]
     norm = max(1.0, norm)
     # h and g lie on diagonals of the flipped table; along y the u^n entry
     # is the y^n coefficient a preceding shear_x killed
@@ -227,7 +205,8 @@ def _shear(p: BivariatePolynomial, along_y: bool, norm: float):
         h.pop()
     if len(h) == 1:
         return None
-    roots = _simple_roots(univariate_roots(h).tolist())
+    all_roots = univariate_roots(h).tolist()
+    roots = _simple_roots(all_roots)
     # h' and g, high-first and padded to one length, evaluated at all roots
     # by one Horner run on the stacked rows (numpy's complex products round
     # unlike Python's, and the staircase downstream feels the last bit)
@@ -252,14 +231,30 @@ def _shear(p: BivariatePolynomial, along_y: bool, norm: float):
     slope_q = 1e-12 * max(max(abs(cand[3]) for cand in candidates), 1e-300)
     candidates.sort(key=lambda cand: (round(cand[0] / amp_q), round(-abs(cand[3]) / slope_q)))
     best_amp = candidates[0][0]
-    _, s, t, slope = next(
+    amp, s, t, slope = next(
         (cand for cand in candidates
          if abs(cand[1].imag) <= 1e-10 * (1.0 + abs(cand[1])) and cand[0] <= 2.0 * best_amp),
         candidates[0],
     )
+    if np.finfo(float).eps * amp**n > REMAINDER_TOL:
+        return None
+    all_roots.remove(s)
+    return s, t, slope, all_roots
+
+
+def _shear(p: BivariatePolynomial, along_y: bool, norm: float):
+    """p after the shear of `_shear_parameters`, with the recorded step, or
+    None.  One correction pass against the substituted table keeps the
+    killed coefficient at the roundoff of a single substitution even when
+    the shift amplifies the coefficient scale; it reads that one entry from
+    a Horner run on row 0 (column 0 along y) of the table."""
+    n, shear = p.degree, _shear_parameters(p.coeffs, along_y, norm)
+    if shear is None:
+        return None
+    s, t, slope, _ = shear
     kind, names = ("shear_y", ("u", "v")) if along_y else ("shear_x", ("s", "t"))
     sub = getattr(AffineSubstitution, kind)(s, t)
-    if abs(slope) > 1e-13 * norm:
+    if abs(slope) > 1e-13 * max(1.0, norm):
         if along_y:
             entry = substitute_table(p.coeffs, sub, cols=1)[n - 1, 0]
         else:
@@ -269,13 +264,44 @@ def _shear(p: BivariatePolynomial, along_y: bool, norm: float):
     return p.substitute(sub), SubstitutionStep(kind, sub, dict(zip(names, (s, t))))
 
 
+def _tree_table(tree: RepresentationTree, size: int) -> np.ndarray:
+    """The tree's polynomial as a coefficient table of the given size, by
+    table products: each node's product is its parent's times its edge
+    form, summed times the coefficient forms.  The plain tree's remainder
+    keeps this numpy rounding; the misfit guard expands on Python scalars."""
+    one = np.zeros((size, size), dtype=complex)
+    one[0, 0] = 1.0
+    nodes = [one]
+    for parent, edge in zip(tree.parents[1:], tree.edges[1:]):
+        nodes.append(times_linear(nodes[parent], *edge))
+    return sum(times_linear(node, *form) for node, form in zip(nodes, tree.coeffs))
+
+
+def _misfit(tree: RepresentationTree, p: BivariatePolynomial) -> float:
+    """Largest coefficient of the tree's polynomial minus p, on Python
+    scalars: from the leaves up, a node's sum is its coefficient form plus
+    each child's edge form times the child's sum (x^j y^k at key j w + k)."""
+    w = max(len(tree), p.degree) + 1  # above every degree the sums reach
+    sums = [{0: a, w: b, 1: c} for a, b, c in tree.coeffs]
+    for i in range(len(tree) - 1, 0, -1):
+        total, (a, b, c) = sums[tree.parents[i]], tree.edges[i]
+        for key, v in sums[i].items():
+            total[key] = total.get(key, 0) + v * a
+            total[key + w] = total.get(key + w, 0) + v * b
+            total[key + 1] = total.get(key + 1, 0) + v * c
+    top = sums[0]
+    for j, row in enumerate(p.coeffs.tolist()):
+        for key, v in enumerate(row, j * w):
+            top[key] = top.get(key, 0) - v
+    return max(map(abs, top.values()))
+
+
 def _main_branch_tree(
     p: BivariatePolynomial, allow_special: bool, norm: float
 ) -> RepresentationTree:
     """Plain recursive construction; the leading x-coefficient is nonzero,
     and norm is the coefficient norm of p."""
-    n = p.degree
-    c = p.coeffs
+    n, c = p.degree, p.coeffs
     if n == 1:
         return RepresentationTree((None,), (None,), (LinearForm(c[0, 0], c[1, 0], c[0, 1]),))
 
@@ -291,7 +317,7 @@ def _main_branch_tree(
     coeffs.append(LinearForm(0.0, c[n, 0], -c[n, 0] * zeros[n - 1]))
 
     main = RepresentationTree(tuple(parents), tuple(edges), tuple(coeffs))
-    remainder = c - main._reconstruct_table(n + 1)
+    remainder = c - _tree_table(main, n + 1)
     scale = max(norm, 1.0)
     low = np.abs(remainder[:, :2]).max()
     if low > REMAINDER_TOL * scale:  # pragma: no cover - algebraic identity
@@ -329,6 +355,31 @@ def _special_tree(p: BivariatePolynomial, norm: float):
     of p."""
     n = p.degree
     work, work_norm, rotation = _rotate_leading_x(p, norm)
+    if n == 3:
+        # closed form: x = x' + s y' + t takes column k's polynomial P_k to
+        # sum_i d_ik (x' + s y')^i, d_ik = P_k^(i)(t) / i!; the top form
+        # c30 (x - s y)(x - s2 y)(x - s3 y) leaves c30 (x' - z2 y')(x' - z3 y'),
+        # z = s2 - s, s3 - s for the other roots of h
+        shear = _shear_parameters(work.coeffs, False, work_norm)
+        if shear is None or len(shear[3]) != 2:  # h lost its top entry to the trim
+            return None
+        s, t, slope, others = shear
+        (c00, c01, c02, c03), (c10, c11, c12, _), (c20, c21, _, _), (c30, *_) = work.coeffs.tolist()
+        if abs(slope) > 1e-13 * max(1.0, work_norm):  # `_shear`'s correction pass
+            t -= (c02 + s * (c11 + s * c20) + t * (c12 + s * (2 * c21 + 3 * s * c30))) / slope
+        d00, d10 = c00 + t * (c10 + t * (c20 + t * c30)), c10 + t * (2 * c20 + 3 * t * c30)
+        d20, d01 = c20 + 3 * t * c30, c01 + t * (c11 + t * c21)
+        d11, d02 = c11 + 2 * t * c21, c02 + t * c12
+        killed = d02 + s * (d11 + s * d20), c03 + s * (c12 + s * (c21 + s * c30))
+        if max(map(abs, killed)) > VANISH_TOL * max(work_norm, 1.0):
+            return None
+        z2, z3 = sort_roots([r - s for r in others])
+        step = SubstitutionStep("shear_x", AffineSubstitution.shear_x(s, t), {"s": s, "t": t})
+        return _undo_substitutions(
+            (None, 0, 1), [(0.0, 1.0, 0.0), (0.0, 1.0, -z2)],
+            [(d00, d10, d01 + s * d10), (0.0, d20, d11 + 2 * s * d20), (0.0, c30, -c30 * z3)],
+            rotation + (step,),
+        )
     sheared = _shear(work, False, work_norm)
     if sheared is None or sheared[0].degree != n:
         return None
@@ -337,17 +388,6 @@ def _special_tree(p: BivariatePolynomial, norm: float):
     c = tilde.coeffs.tolist()
     if max(abs(c[0][n]), abs(c[0][n - 1])) > VANISH_TOL * scale:
         return None
-
-    if n == 3:
-        try:
-            z2, z3 = univariate_roots([c[1][2], c[2][1], c[3][0]]).tolist()
-        except LeadingCoefficientError:
-            return None
-        return _undo_substitutions(
-            (None, 0, 1), [(0.0, 1.0, 0.0), (0.0, 1.0, -z2)],
-            [(c[0][0], c[1][0], c[0][1]), (0.0, c[2][0], c[1][1]), (0.0, c[3][0], -c[3][0] * z3)],
-            rotation + (shear1,),
-        )
 
     sheared = _shear(tilde, True, tilde.coeff_norm())
     if sheared is None or sheared[0].degree != 4:
@@ -386,18 +426,15 @@ def _build(p: BivariatePolynomial, allow_special: bool) -> RepresentationTree:
         special = _special_tree(p, norm)
         # a large shear can leave a special tree that no longer reproduces p;
         # the plain recursion below stays exact
-        if special is not None:
-            misfit = special._reconstruct_table(max(len(special), n) + 1)
-            misfit[: n + 1, : n + 1] -= p.coeffs
-            if np.abs(misfit).max() <= REMAINDER_TOL * max(norm, 1.0):
-                return special
+        if special is not None and _misfit(special, p) <= REMAINDER_TOL * max(norm, 1.0):
+            return special
     work, _, rotation = _rotate_leading_x(p, norm)
     if rotation:
         # a cubic or quartic gets here only when its special tree, which
         # makes this same rotation, failed
         tree = _build(work, allow_special and n > 4)
-        edges, coeffs = ([(f.a, f.b, f.c) for f in fs] for fs in (tree.edges[1:], tree.coeffs))
-        return _undo_substitutions(tree.parents, edges, coeffs, rotation, tree.substitution_steps)
+        return _undo_substitutions(tree.parents, tree.edges[1:], tree.coeffs, rotation,
+                                   tree.substitution_steps)
     return _main_branch_tree(p, allow_special, norm)
 
 

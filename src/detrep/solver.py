@@ -180,11 +180,13 @@ def _solve_once(p, q, opts: SolveOptions, diagnostics: SolveDiagnostics):
     norms = p.coeff_norm(), q.coeff_norm()
     # the pencils mix structural ±1 entries with coefficients, so each
     # polynomial is linearized at a power-of-two scale with its largest
-    # coefficient in [0.5, 1): the roots do not depend on the caller's scale
+    # coefficient in [0.5, 1): the roots do not depend on the caller's scale,
+    # and the scaled table stays trimmed and finite, so it skips the checks
     pencils = []
     for f, norm in zip((p, q), norms):
-        e = math.frexp(norm)[1]
-        unit = BivariatePolynomial(np.ldexp(f.coeffs.view(float), -e).view(complex)) if e else f
+        unit = object.__new__(BivariatePolynomial)
+        unit.coeffs = np.ldexp(f.coeffs.view(float), -math.frexp(norm)[1]).view(complex)
+        unit.degree = f.degree
         pencils.append(linearize_polynomial(unit, opts.linearization))
     result = twopar.solve_full(*pencils, cluster_tol=opts.cluster_tol, rank_tol=opts.rank_tol,
                                max_roots=p.degree * q.degree)

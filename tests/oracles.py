@@ -4,11 +4,13 @@ Everything here deliberately avoids the code paths of the package itself:
 evaluation by naive high-precision summation, Kronecker products by index
 loops, roots of a system by a Sylvester-resultant elimination, minimal
 monomial trees by exhaustive subset enumeration, the polynomials of a
-representation tree by products of {(j, k): c} term dictionaries.  Two
-are earlier forms of package routines, kept to pin the rounding of their
-faster replacements: the two-pass Horner substitution, the companion
-eigenvalues from `np.linalg.eigvals` and the inverse of an affine map from
-`np.linalg.inv`.
+representation tree by products of {(j, k): c} term dictionaries.  Some
+are earlier forms of package routines, kept to pin the rounding or the
+choices of their faster replacements: the two-pass Horner substitution,
+the companion eigenvalues from `np.linalg.eigvals`, the inverse of an
+affine map from `np.linalg.inv`, the exact monomial-tree search over the
+whole grid, and a cubic's size-3 representation tree from substituted
+coefficient tables.
 """
 
 from __future__ import annotations
@@ -345,3 +347,68 @@ def affine_inverse(sub):
     which factors E with partial pivoting."""
     e_inv = np.linalg.inv(sub.linear)
     return e_inv, -e_inv @ sub.shift
+
+
+def exact_min_node_set_full_grid(P):
+    """The smallest covering monomial node set by screening every subset of
+    the grid nodes with j + k <= n - 1, the root always in; the first
+    subset of fewest nodes in the order of `_monomial_key` wins."""
+    from detrep.monomial_tree import _constrained_terms, _monomial_key
+
+    n = P.degree
+    grid = sorted(((j, k) for j in range(n) for k in range(n - j)), key=_monomial_key)
+    non_root = grid[1:]
+    bit = {nd: 1 << i for i, nd in enumerate(non_root)}
+    subsets = np.arange(1 << len(non_root), dtype=np.uint32)
+    valid = np.ones(subsets.shape, dtype=bool)
+    for j, k in non_root:
+        if j + k == 1:
+            continue  # always attachable to the root; no other node's parent is the root
+        parent_mask = np.uint32(0)
+        if j > 0:
+            parent_mask |= np.uint32(bit[(j - 1, k)])
+        if k > 0:
+            parent_mask |= np.uint32(bit[(j, k - 1)])
+        member = (subsets & np.uint32(bit[(j, k)])) != 0
+        valid &= ~(member & ((subsets & parent_mask) == 0))
+    for _, opts in _constrained_terms(P):
+        mask = np.uint32(0)
+        for opt in opts:
+            mask |= np.uint32(bit[opt])
+        valid &= (subsets & mask) != 0
+    popcount = np.bitwise_count(subsets).astype(np.int64)
+    popcount[~valid] = 1 << 30
+    best = int(np.argmin(popcount))
+    return {(0, 0)} | {nd for nd in non_root if best & bit[nd]}
+
+
+def table_cubic_tree(p, exchange=False):
+    """A cubic's size-3 representation tree by the substituted coefficient
+    table: the shear by `BivariatePolynomial.substitute`, the quadratic
+    factor's roots by a second `univariate_roots` call (in the other order
+    when `exchange`), and the misfit guard from the reconstructed table.
+    None where that route keeps no special tree."""
+    from detrep import representation_tree as rt
+    from detrep.polynomials import LeadingCoefficientError, univariate_roots
+
+    norm = p.coeff_norm()
+    work, work_norm, rotation = rt._rotate_leading_x(p, norm)
+    sheared = rt._shear(work, False, work_norm)
+    if sheared is None or sheared[0].degree != 3:
+        return None
+    tilde, shear = sheared
+    c = tilde.coeffs.tolist()
+    if max(abs(c[0][3]), abs(c[0][2])) > rt.VANISH_TOL * max(work_norm, 1.0):
+        return None
+    try:
+        z2, z3 = univariate_roots([c[1][2], c[2][1], c[3][0]]).tolist()[:: -1 if exchange else 1]
+    except LeadingCoefficientError:
+        return None
+    tree = rt._undo_substitutions(
+        (None, 0, 1), [(0.0, 1.0, 0.0), (0.0, 1.0, -z2)],
+        [(c[0][0], c[1][0], c[0][1]), (0.0, c[2][0], c[1][1]), (0.0, c[3][0], -c[3][0] * z3)],
+        rotation + (shear,),
+    )
+    misfit = rt._tree_table(tree, 4)
+    misfit[:4, :4] -= p.coeffs
+    return tree if np.abs(misfit).max() <= rt.REMAINDER_TOL * max(norm, 1.0) else None

@@ -22,7 +22,7 @@ from detrep.monomial_tree import (
     _exact_min_node_set,
     _prune_generic,
 )
-from oracles import min_covering_tree_size
+from oracles import exact_min_node_set_full_grid, min_covering_tree_size
 from test_polynomials import CUBIC, random_polynomial
 
 # the sparse degree-6 polynomial whose minimal tree has 11 nodes
@@ -356,6 +356,28 @@ class TestSparseTree:
         want = min_covering_tree_size([t for t in chosen], p.degree)
         assert len(tree) == want
 
+
+
+@st.composite
+def sparse_low_degree_polynomials(draw):
+    """Degree 2-6 polynomials with a few terms, x^n and y^n each often
+    present and often absent."""
+    n = draw(st.integers(2, 6))
+    terms = draw(st.lists(
+        st.tuples(st.integers(0, n), st.integers(0, n)).filter(lambda t: sum(t) <= n),
+        min_size=1, max_size=9,
+    ))
+    terms.append(draw(st.sampled_from([(n, 0), (0, n)] + [(j, n - j) for j in range(1, n)])))
+    terms += [t for t in ((n, 0), (0, n)) if draw(st.booleans())]
+    return BivariatePolynomial.from_terms({t: 1.0 for t in terms})
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_low_degree_polynomials())
+def test_exact_search_matches_the_full_grid_search(p):
+    """Fixing the x- and y-chains that x^n and y^n force leaves the search
+    with the same smallest node set as screening the whole grid."""
+    assert _exact_min_node_set(p) == exact_min_node_set_full_grid(p)
 
 
 @st.composite

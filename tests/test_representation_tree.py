@@ -13,12 +13,13 @@ from detrep import (
     build_tree,
     linearize,
     representation_tree_size,
+    solve_system,
     univariate_roots,
 )
 from detrep import polynomials, representation_tree
 from detrep.representation_tree import _build
 
-from oracles import tree_node_products, tree_reconstruction
+from oracles import table_cubic_tree, tree_node_products, tree_reconstruction
 from test_polynomials import CUBIC, random_polynomial
 
 
@@ -334,8 +335,9 @@ def test_build_tree_reproduces_sparse_cubics_and_quartics(p):
 
 
 def test_dense_cubic_tree_builds_few_polynomial_objects(monkeypatch):
-    """The shears and the reconstruction guard work on coefficient tables;
-    only a substitution's result becomes a polynomial object."""
+    """A cubic's shear and its misfit guard work on Python scalars, so a
+    dense cubic's tree builds no polynomial object (it built one, the
+    substituted cubic, and up to 8 before that)."""
     built = []
     init = BivariatePolynomial.__init__
 
@@ -348,13 +350,14 @@ def test_dense_cubic_tree_builds_few_polynomial_objects(monkeypatch):
     tree = build_tree(p)
     monkeypatch.undo()
     assert len(tree) == 3
-    assert len(built) <= 8
+    assert built == []
 
 
 @pytest.mark.parametrize("n,shears", [(3, 1), (4, 2)])
 def test_dense_tree_substitutes_once_per_shear(monkeypatch, n, shears):
     """The shear's correction reads its one entry from a windowed Horner
-    run, so each shear substitutes the whole polynomial once."""
+    run, so each quartic shear substitutes the whole polynomial once; the
+    cubic's shear substitutes nothing, its coefficients being closed-form."""
     calls = []
     substitute = BivariatePolynomial.substitute
 
@@ -367,7 +370,7 @@ def test_dense_tree_substitutes_once_per_shear(monkeypatch, n, shears):
     tree = build_tree(p)
     monkeypatch.undo()
     assert [step.kind for step in tree.substitution_steps] == ["shear_x", "shear_y"][:shears]
-    assert len(calls) == shears
+    assert len(calls) == (shears if n == 4 else 0)
 
 
 def test_real_cubic_picks_the_conjugate_shear_below_the_axis():
@@ -392,16 +395,16 @@ def test_real_cubic_picks_the_conjugate_shear_below_the_axis():
     assert non_real >= 20
 
 
-@pytest.mark.parametrize("n,products", [(3, 9), (4, 22)])
+@pytest.mark.parametrize("n,products", [(3, 0), (4, 16)])
 def test_dense_tree_call_budget(monkeypatch, n, products):
     """A shear runs Horner products only over the variable it moves, each
     Horner run starts from its leading coefficient, invertibility needs no
     determinant routine, and the map back is inverted in closed form.  A
-    dense cubic makes 6 table products in its shear (correction window and
-    full table) and 3 in the misfit guard, which writes the forms of the
-    root and of its children without a product; with a two-pass
-    substitution it made 21, and 4 `np.linalg.det` calls.  A dense quartic
-    made 49 and 6."""
+    dense cubic's sheared coefficients are closed-form and the misfit guard
+    expands the tree on Python scalars, so it makes no table product (9
+    with the substituted table, 21 with a two-pass substitution and 4
+    `np.linalg.det` calls).  A dense quartic makes 16, all in its two
+    shears (22 with the guard on tables, 49 and 6 before)."""
     calls = {"times_linear": 0, "det": 0, "inv": 0}
     times_linear, det, inv = polynomials.times_linear, np.linalg.det, np.linalg.inv
 
@@ -420,6 +423,82 @@ def test_dense_tree_call_budget(monkeypatch, n, products):
     monkeypatch.undo()
     assert len(tree) == representation_tree_size(n) - 1
     assert calls == {"times_linear": products, "det": 0, "inv": 0}
+
+
+def _dense_table(rows):
+    table = np.zeros((len(rows), len(rows)))
+    for j, row in enumerate(rows):
+        table[j, : len(row)] = row
+    return table
+
+
+def test_cubic_shear_with_too_much_amplification_takes_the_plain_tree():
+    """`cubic-auto` seed 43 system 10292: p's best shear has t = -519.4, so
+    eps * |t|^3 = 3.1e-8 exceeds REMAINDER_TOL.  The closed form's tree
+    would still miss p by about 2e-8 of its scale, and a more accurate
+    rounding of it passed the misfit guard once and left the N = 9 block
+    with 3 candidates; the amplification rule takes the plain tree before
+    any tree is built, and the system keeps its 9 roots."""
+    p = BivariatePolynomial(_dense_table([
+        [0.9351448684744118, 0.7748872787200872, 0.7513095117223972, 0.2102198283191109],
+        [0.5743277103528933, 0.5955115111631282, 0.6079899792873183],
+        [0.7839923001837767, 0.5875723088255607], [0.18977873453849559]]))
+    q = BivariatePolynomial(_dense_table([
+        [0.8166678817739774, 0.24727847582577822, 0.27034493943014826, 0.5583422154489857],
+        [0.25526255435289136, 0.7593323247928582, 0.7228437482008768],
+        [0.4419162910783233, 0.8123017185087179], [0.7580712000341661]]))
+    assert representation_tree._special_tree(p, p.coeff_norm()) is None
+    assert len(build_tree(p)) == 4 and len(build_tree(q)) == 3
+    roots = solve_system(p, q)
+    assert sum(r.multiplicity for r in roots) == 9
+
+
+@st.composite
+def cubics(draw):
+    """Dense or sparse cubics, real or complex; without x^3 the tree is built
+    after the swap, or after the rotation when y^3 is missing too."""
+    value = st.floats(-1.0, 1.0).filter(lambda v: abs(v) >= 0.05)
+    imaginary = draw(st.booleans())
+    table = np.zeros((4, 4), dtype=complex)
+    for j in range(4):
+        for k in range(4 - j):
+            if draw(st.integers(0, 3)):
+                table[j, k] = complex(draw(value), draw(value) if imaginary else 0.0)
+    table[1, 2] = table[1, 2] or 0.5
+    for corner in draw(st.sampled_from([(), ((3, 0),), ((3, 0), (0, 3))])):
+        table[corner] = 0.0
+    return BivariatePolynomial(table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cubics())
+def test_closed_form_cubic_tree_matches_the_table_route(p):
+    """The closed-form tree reproduces p within the misfit guard, and where
+    both it and the substituted-table route keep a size-3 tree their
+    pencils agree to 1e-12 of the pencil's scale, wherever the quadratic
+    factor's roots z2 and z3 pass the shear's simple-root test: a
+    near-double pair is known only to about sqrt(eps) on either route.  A
+    near-tie of z2 and z3 in `univariate_roots`' order may come out either
+    way on the two routes; the other order is the tree the table route
+    builds with them exchanged."""
+    tree = build_tree(p)
+    scale = max(p.coeff_norm(), 1.0)
+    assert (reconstruct(tree) - p).coeff_norm() <= representation_tree.REMAINDER_TOL * scale
+    work, work_norm, _ = representation_tree._rotate_leading_x(p, p.coeff_norm())
+    shear = representation_tree._shear_parameters(work.coeffs, False, work_norm)
+    if len(tree) != 3 or len(representation_tree._simple_roots(shear[3])) < 2:
+        return
+    pencil = assemble_pencil_from_representation_tree(tree)
+    got = np.stack([pencil.A, pencil.B, pencil.C])
+    errors = []
+    for exchange in (False, True):
+        ref = table_cubic_tree(p, exchange)
+        if ref is None:
+            return
+        ref_pencil = assemble_pencil_from_representation_tree(ref)
+        want = np.stack([ref_pencil.A, ref_pencil.B, ref_pencil.C])
+        errors.append(np.abs(got - want).max() / np.abs(want).max())
+    assert min(errors) <= 1e-12
 
 
 class TestLinearize:
