@@ -16,8 +16,6 @@ it (including the singular case via staircase compression) and `solver`
 wraps the full pipeline with Newton refinement.
 """
 
-import types
-
 from .monomial_tree import (
     CoverageError,
     MonomialTree,
@@ -63,6 +61,37 @@ from .twopar import (
 
 __version__ = "0.1.0"
 
-# the public names are exactly the ones imported above
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, types.ModuleType))
+__all__ = [
+    "AffineSubstitution",
+    "BivariatePolynomial",
+    "CoverageError",
+    "DegenerateInputError",
+    "DegenerateSystemError",
+    "DeltaTriple",
+    "EigenSolution",
+    "LeadingCoefficientError",
+    "LinearForm",
+    "MatrixBivariatePolynomial",
+    "MonomialTree",
+    "Pencil",
+    "RepresentationTree",
+    "RootRecord",
+    "SolveOptions",
+    "assemble_pencil_from_monomial_tree",
+    "assemble_pencil_from_representation_tree",
+    "build_tree",
+    "extract_regular_part",
+    "first_row_assignment",
+    "full_monomial_tree",
+    "generic_tree",
+    "generic_tree_size",
+    "linearize",
+    "newton_refine",
+    "operator_determinants",
+    "partial_derivatives",
+    "representation_tree_size",
+    "solve_regular",
+    "solve_system",
+    "sparse_tree_heuristic",
+    "univariate_roots",
+]

@@ -70,8 +70,13 @@ def cmd_linearize(args) -> int:
 def _solve_options(args, file_opts) -> solver.SolveOptions:
     """Options from the flags, overridden by the system file's "options";
     SolveOptions validates the combination once it is complete."""
-    flags = dict(linearization=args.method, rank_tol=args.rank_tol, cluster_tol=args.cluster_tol,
-                 newton_steps=args.newton_steps, residual_accept=args.residual_accept)
+    flags = {
+        "linearization": args.method,
+        "rank_tol": args.rank_tol,
+        "cluster_tol": args.cluster_tol,
+        "newton_steps": args.newton_steps,
+        "residual_accept": args.residual_accept,
+    }
     overrides = {key: val for key, val in flags.items() if val is not None}
     file_opts = dict(file_opts)
     unknown = sorted(set(file_opts) - {f.name for f in dataclasses.fields(solver.SolveOptions)})
@@ -138,8 +143,11 @@ def cmd_verify(args) -> int:
         return EXIT_FAILURE
     block = getattr(poly, "block_size", 1)
     if pencil.block_size != block:
-        print(f"error: pencil block size {pencil.block_size} does not match "
-              f"polynomial block size {block}", file=sys.stderr)
+        print(
+            f"error: pencil block size {pencil.block_size} does not match "
+            f"polynomial block size {block}",
+            file=sys.stderr,
+        )
         return EXIT_FAILURE
 
     rng = np.random.default_rng(args.seed)

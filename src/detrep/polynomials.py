@@ -196,15 +196,12 @@ class AffineSubstitution:
     def inverse(self) -> "AffineSubstitution":
         """The map back, in closed form: the adjugate times the reciprocal
         of the determinant, exact for a shear's unit determinant."""
-        return AffineSubstitution(*map(np.array, self.inverse_entries()))
-
-    def inverse_entries(self) -> tuple:
-        """The linear part and shift of `inverse()` as Python scalars."""
         (a, b), (c, d) = self.linear.tolist()
         t0, t1 = self.shift.tolist()
         r = 1.0 / (a * d - b * c)
         e = ((d * r, -b * r), (-c * r, a * r))
-        return e, [-(row[0] * t0 + row[1] * t1) for row in e]
+        shift = [-(row[0] * t0 + row[1] * t1) for row in e]
+        return AffineSubstitution(np.array(e), np.array(shift))
 
     def compose(self, inner: "AffineSubstitution") -> "AffineSubstitution":
         """Map applying `inner` first: (x,y) = self(inner(x'', y''))."""

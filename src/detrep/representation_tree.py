@@ -149,14 +149,11 @@ def _undo_substitutions(parents, edges, coeffs, steps, own_steps=()) -> Represen
     triples, were built in the variables after `steps`, in the ones before
     them; the triples have already undone the tree's `own_steps`.  The map
     back composes the steps' exact inverses."""
-    if len(steps) == 1:  # one inverse: its entries need no arrays
-        ((e00, e01), (e10, e11)), (t0, t1) = steps[0].map.inverse_entries()
-    else:
-        back = steps[-1].map.inverse()
-        for step in steps[-2::-1]:
-            back = back.compose(step.map.inverse())
-        (e00, e01), (e10, e11) = back.linear.tolist()
-        t0, t1 = back.shift.tolist()
+    back = steps[-1].map.inverse()
+    for step in steps[-2::-1]:
+        back = back.compose(step.map.inverse())
+    (e00, e01), (e10, e11) = back.linear.tolist()
+    t0, t1 = back.shift.tolist()
     forms = [LinearForm(a + b * t0 + c * t1, b * e00 + c * e10, b * e01 + c * e11)
              for a, b, c in edges + coeffs]
     return RepresentationTree(
@@ -265,35 +262,21 @@ def _shear(p: BivariatePolynomial, along_y: bool, norm: float):
 
 
 def _tree_table(tree: RepresentationTree, size: int) -> np.ndarray:
-    """The tree's polynomial as a coefficient table of the given size, by
-    table products: each node's product is its parent's times its edge
-    form, summed times the coefficient forms.  The plain tree's remainder
-    keeps this numpy rounding; the misfit guard expands on Python scalars."""
-    one = np.zeros((size, size), dtype=complex)
-    one[0, 0] = 1.0
-    nodes = [one]
+    """The tree's polynomial as a coefficient table of the given size: the
+    sum of each nonzero coefficient form times its node's product of edge
+    forms.  The root's 1 times a form is written without a table product."""
+    def times(table, form):
+        if table is not None:
+            return times_linear(table, *form)
+        table = np.zeros((size, size), dtype=complex)
+        table[0, 0], table[1, 0], table[0, 1] = form
+        return table
+
+    nodes = [None]
     for parent, edge in zip(tree.parents[1:], tree.edges[1:]):
-        nodes.append(times_linear(nodes[parent], *edge))
-    return sum(times_linear(node, *form) for node, form in zip(nodes, tree.coeffs))
-
-
-def _misfit(tree: RepresentationTree, p: BivariatePolynomial) -> float:
-    """Largest coefficient of the tree's polynomial minus p, on Python
-    scalars: from the leaves up, a node's sum is its coefficient form plus
-    each child's edge form times the child's sum (x^j y^k at key j w + k)."""
-    w = max(len(tree), p.degree) + 1  # above every degree the sums reach
-    sums = [{0: a, w: b, 1: c} for a, b, c in tree.coeffs]
-    for i in range(len(tree) - 1, 0, -1):
-        total, (a, b, c) = sums[tree.parents[i]], tree.edges[i]
-        for key, v in sums[i].items():
-            total[key] = total.get(key, 0) + v * a
-            total[key + w] = total.get(key + w, 0) + v * b
-            total[key + 1] = total.get(key + 1, 0) + v * c
-    top = sums[0]
-    for j, row in enumerate(p.coeffs.tolist()):
-        for key, v in enumerate(row, j * w):
-            top[key] = top.get(key, 0) - v
-    return max(map(abs, top.values()))
+        nodes.append(times(nodes[parent], edge))
+    forms = zip(nodes, tree.coeffs)
+    return sum(times(node, form) for node, form in forms if node is None or any(form))
 
 
 def _main_branch_tree(
@@ -374,6 +357,8 @@ def _special_tree(p: BivariatePolynomial, norm: float):
         if max(map(abs, killed)) > VANISH_TOL * max(work_norm, 1.0):
             return None
         z2, z3 = sort_roots([r - s for r in others])
+        if len(_simple_roots(others)) != 2:  # a double pair: its split is sqrt(eps) noise
+            z2 = z3 = (others[0] + others[1]) / 2 - s
         step = SubstitutionStep("shear_x", AffineSubstitution.shear_x(s, t), {"s": s, "t": t})
         return _undo_substitutions(
             (None, 0, 1), [(0.0, 1.0, 0.0), (0.0, 1.0, -z2)],
@@ -426,8 +411,11 @@ def _build(p: BivariatePolynomial, allow_special: bool) -> RepresentationTree:
         special = _special_tree(p, norm)
         # a large shear can leave a special tree that no longer reproduces p;
         # the plain recursion below stays exact
-        if special is not None and _misfit(special, p) <= REMAINDER_TOL * max(norm, 1.0):
-            return special
+        if special is not None:
+            misfit = _tree_table(special, max(len(special), n) + 1)
+            misfit[: n + 1, : n + 1] -= p.coeffs
+            if np.abs(misfit).max() <= REMAINDER_TOL * max(norm, 1.0):
+                return special
     work, _, rotation = _rotate_leading_x(p, norm)
     if rotation:
         # a cubic or quartic gets here only when its special tree, which

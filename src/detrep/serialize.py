@@ -78,13 +78,23 @@ def polynomial_from_json(obj: dict):
 
 
 def pencil_to_json(pencil: Pencil) -> dict:
-    mats = {name: _matrix_to_json(getattr(pencil, name)) for name in "ABC"}
-    return {"size": pencil.size, "block_size": pencil.block_size, **mats}
+    return {
+        "size": pencil.size,
+        "block_size": pencil.block_size,
+        "A": _matrix_to_json(pencil.A),
+        "B": _matrix_to_json(pencil.B),
+        "C": _matrix_to_json(pencil.C),
+    }
 
 
 def pencil_from_json(obj: dict) -> Pencil:
-    mats = {name: _matrix_from_json(obj[name]) for name in "ABC"}
-    return Pencil(size=int(obj["size"]), block_size=int(obj.get("block_size", 1)), **mats)
+    return Pencil(
+        size=int(obj["size"]),
+        block_size=int(obj.get("block_size", 1)),
+        A=_matrix_from_json(obj["A"]),
+        B=_matrix_from_json(obj["B"]),
+        C=_matrix_from_json(obj["C"]),
+    )
 
 
 # -- trees -------------------------------------------------------------------------
@@ -99,7 +109,9 @@ def monomial_tree_to_json(tree: MonomialTree) -> dict:
 
 
 def _form_to_json(form: LinearForm | None):
-    return None if form is None else [_scalar_to_json(v) for v in form]
+    if form is None:
+        return None
+    return [_scalar_to_json(form.a), _scalar_to_json(form.b), _scalar_to_json(form.c)]
 
 
 def _substitution_to_json(step: SubstitutionStep) -> dict:

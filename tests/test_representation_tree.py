@@ -395,16 +395,16 @@ def test_real_cubic_picks_the_conjugate_shear_below_the_axis():
     assert non_real >= 20
 
 
-@pytest.mark.parametrize("n,products", [(3, 0), (4, 16)])
+@pytest.mark.parametrize("n,products", [(3, 3), (4, 22)])
 def test_dense_tree_call_budget(monkeypatch, n, products):
     """A shear runs Horner products only over the variable it moves, each
     Horner run starts from its leading coefficient, invertibility needs no
     determinant routine, and the map back is inverted in closed form.  A
-    dense cubic's sheared coefficients are closed-form and the misfit guard
-    expands the tree on Python scalars, so it makes no table product (9
-    with the substituted table, 21 with a two-pass substitution and 4
-    `np.linalg.det` calls).  A dense quartic makes 16, all in its two
-    shears (22 with the guard on tables, 49 and 6 before)."""
+    dense cubic's sheared coefficients are closed-form, so its 3 table
+    products are the misfit guard's, which writes the forms of the root
+    and of its children without a product (9 with the substituted table,
+    21 with a two-pass substitution and 4 `np.linalg.det` calls).  A
+    dense quartic makes 22, 16 in its two shears (49 and 6 before)."""
     calls = {"times_linear": 0, "det": 0, "inv": 0}
     times_linear, det, inv = polynomials.times_linear, np.linalg.det, np.linalg.inv
 
@@ -453,6 +453,24 @@ def test_cubic_shear_with_too_much_amplification_takes_the_plain_tree():
     assert sum(r.multiplicity for r in roots) == 9
 
 
+def test_cubic_with_a_double_pair_in_its_quadratic_factor_takes_their_mean():
+    """The top form (x - y)(x + 2y)^2 gives h the simple root 1 and the
+    double pair -2, -2, which the eigensolve splits by about sqrt(eps):
+    the size-3 tree takes their mean, known to about eps, as the double
+    root z2 = z3 = -3 of its quadratic factor (x' + 3y')^2."""
+    p = BivariatePolynomial(_dense_table([
+        [0.3, -0.7, 0.2, -4.0], [0.5, 0.9, 0.0], [-0.6, 3.0], [1.0]]))
+    work, work_norm, _ = representation_tree._rotate_leading_x(p, p.coeff_norm())
+    s, _, _, others = representation_tree._shear_parameters(work.coeffs, False, work_norm)
+    assert abs(s - 1.0) < 1e-12 and 0 < abs(others[0] - others[1]) < 1e-6
+    tree = build_tree(p)
+    assert len(tree) == 3
+    # c30 = 1: the edge into node 2 and node 2's form both read x - (s + z) y
+    assert tree.edges[2].c == tree.coeffs[2].c
+    assert abs(tree.edges[2].c + 1.0 - 3.0) < 1e-14
+    assert (reconstruct(tree) - p).coeff_norm() <= 1e-14
+
+
 @st.composite
 def cubics(draw):
     """Dense or sparse cubics, real or complex; without x^3 the tree is built
@@ -474,19 +492,22 @@ def cubics(draw):
 @given(cubics())
 def test_closed_form_cubic_tree_matches_the_table_route(p):
     """The closed-form tree reproduces p within the misfit guard, and where
-    both it and the substituted-table route keep a size-3 tree their
-    pencils agree to 1e-12 of the pencil's scale, wherever the quadratic
-    factor's roots z2 and z3 pass the shear's simple-root test: a
-    near-double pair is known only to about sqrt(eps) on either route.  A
-    near-tie of z2 and z3 in `univariate_roots`' order may come out either
-    way on the two routes; the other order is the tree the table route
-    builds with them exchanged."""
+    both it and the substituted-table route keep a special tree (one with
+    a shear; a plain tree can have 3 nodes too) their pencils agree to
+    1e-12 of the pencil's scale, wherever the quadratic factor's roots z2
+    and z3 pass the shear's simple-root test: a double pair is split by
+    about sqrt(eps) on the table route and is their mean in the closed
+    form.  A near-tie of z2 and z3 in `univariate_roots`' order may come out
+    either way on the two routes; the other order is the tree the table
+    route builds with them exchanged."""
     tree = build_tree(p)
     scale = max(p.coeff_norm(), 1.0)
     assert (reconstruct(tree) - p).coeff_norm() <= representation_tree.REMAINDER_TOL * scale
+    if "shear_x" not in [step.kind for step in tree.substitution_steps]:
+        return
     work, work_norm, _ = representation_tree._rotate_leading_x(p, p.coeff_norm())
     shear = representation_tree._shear_parameters(work.coeffs, False, work_norm)
-    if len(tree) != 3 or len(representation_tree._simple_roots(shear[3])) < 2:
+    if len(representation_tree._simple_roots(shear[3])) < 2:
         return
     pencil = assemble_pencil_from_representation_tree(tree)
     got = np.stack([pencil.A, pencil.B, pencil.C])

@@ -60,17 +60,29 @@ RETRY_Q = [
 
 
 SHORTFALL_SOLVE = """
-import itertools, json
+import itertools, json, sys
 import workloads
 from detrep import BivariatePolynomial, SolveOptions, solve_system
 from detrep.solver import SolveDiagnostics
 stream = workloads.systems(workloads.WORKLOADS["sparse-auto"], 0)
-p, q = (BivariatePolynomial(t) for t in next(itertools.islice(stream, 84, None)))
+p, q = (BivariatePolynomial(t) for t in next(itertools.islice(stream, int(sys.argv[1]), None)))
 diag = SolveDiagnostics()
 records = solve_system(p, q, SolveOptions(), diag)
 print(json.dumps([diag.candidates, diag.rejected, diag.swapped,
                   sum(r.multiplicity for r in records), diag.warnings]))
 """
+
+
+def sparse_auto_solve(index):
+    """[candidates, rejected, swapped, root count, warnings] of sparse-auto
+    seed-0 system `index`.  The outcome can follow the BLAS thread count,
+    so the solve runs in a child process with two OpenBLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench")))
+    child = subprocess.run([sys.executable, "-c", SHORTFALL_SOLVE, str(index)], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
 
 
 def retry_system():
@@ -289,15 +301,19 @@ class TestSolveSystem:
         is the staircase's accuracy, ROADMAP item 1); the solve says so.
         The rejected count follows the BLAS thread count, so the solve runs
         in a child process with two OpenBLAS threads."""
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
-                   PYTHONPATH=os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench")))
-        child = subprocess.run([sys.executable, "-c", SHORTFALL_SOLVE], env=env,
-                               capture_output=True, text=True, timeout=120)
-        assert child.returncode == 0, child.stderr
-        candidates, rejected, swapped, roots, warnings = json.loads(child.stdout)
+        candidates, rejected, swapped, roots, warnings = sparse_auto_solve(84)
         assert (candidates, rejected, swapped) == (64, 2, False)
         assert roots == 62
         assert warnings == ["2 of 64 candidates failed the residual filter"]
+
+    def test_double_pair_in_a_cubic_subtree_keeps_every_root(self):
+        """sparse-auto seed-0 system 154: a rotated cubic subtree of q has
+        the double root z2 = z3 = -1/3 in its quadratic factor, which the
+        eigensolve splits by about sqrt(eps).  With a split of 2.4e-8 in
+        its size-3 tree the solve raised DegenerateSystemError; with their
+        mean it finds all 64 roots in the first orientation."""
+        candidates, rejected, swapped, roots, warnings = sparse_auto_solve(154)
+        assert (candidates, rejected, swapped, roots, warnings) == (64, 0, False, 64, [])
 
     @pytest.mark.parametrize("method", ["auto", "lin1"])
     def test_exact_singular_root_has_infinite_accuracy(self, method):
