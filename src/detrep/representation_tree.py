@@ -82,7 +82,8 @@ class RepresentationTree:
         for i in range(1, m):
             if not 0 <= self.parents[i] < i:
                 raise ValueError(f"node {i} needs a parent with smaller index")
-            if self.edges[i].b == 0 and self.edges[i].c == 0:
+            edge = self.edges[i]
+            if edge.b == 0 and edge.c == 0:
                 raise ValueError(f"edge into node {i} must involve x or y")
 
     def __len__(self):
@@ -284,7 +285,8 @@ def _main_branch_tree(
 ) -> RepresentationTree:
     """Plain recursive construction; the leading x-coefficient is nonzero,
     and norm is the coefficient norm of p."""
-    n, c = p.degree, p.coeffs
+    n = p.degree
+    c = p.coeffs
     if n == 1:
         return RepresentationTree((None,), (None,), (LinearForm(c[0, 0], c[1, 0], c[0, 1]),))
 
