@@ -73,7 +73,6 @@ def _solve_options(args, file_opts) -> solver.SolveOptions:
     flags = {
         "linearization": args.method,
         "rank_tol": args.rank_tol,
-        "cluster_tol": args.cluster_tol,
         "newton_steps": args.newton_steps,
         "residual_accept": args.residual_accept,
     }
@@ -262,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("input", help="system JSON file with entries 'p' and 'q'")
     p_solve.add_argument("--method", choices=solver.LINEARIZATIONS, default="auto")
     p_solve.add_argument("--rank-tol", type=float, default=None)
-    p_solve.add_argument("--cluster-tol", type=float, default=None)
     p_solve.add_argument("--newton-steps", type=int, default=None)
     p_solve.add_argument("--residual-accept", type=float, default=None)
     p_solve.add_argument("--dump-deltas", metavar="PATH",

@@ -172,6 +172,15 @@ def _simple_roots(roots: list[complex]) -> list[complex]:
             if (sorted([abs(r - other) for other in roots]) + [np.inf])[1] > 1e-4 * (1.0 + abs(r))]
 
 
+def _root_pair(roots: list[complex], shift: complex = 0.0) -> list[complex]:
+    """Two roots less `shift`, in `univariate_roots`' order.  A pair that
+    `_simple_roots` calls double is a double root, which an eigensolve
+    splits by about sqrt(eps); its mean is known to eps and is taken twice."""
+    if len(_simple_roots(roots)) == 2:
+        return sort_roots([r - shift for r in roots])
+    return [(roots[0] + roots[1]) / 2 - shift] * 2
+
+
 def _shear_parameters(c: np.ndarray, along_y: bool, norm: float):
     """(s, t, h'(s), the other roots of h) of the shear x = x' + s y' + t
     that kills the y'^n and y'^(n-1) coefficients of the table c (of
@@ -333,13 +342,13 @@ def _main_branch_tree(
     return RepresentationTree(tuple(parents), tuple(edges), tuple(coeffs), sub.substitution_steps)
 
 
-def _special_tree(p: BivariatePolynomial, norm: float):
+def _special_tree(p: BivariatePolynomial, norm: float, rotated=None):
     """Size-3 tree for a cubic after x = x' + s y' + t, or size-5 tree for a
     quartic after a second shear y = u x' + y' + v; None when a steering
     polynomial lacks a usable simple root.  norm is the coefficient norm
-    of p."""
+    of p, and rotated is `_rotate_leading_x(p, norm)` when the caller has it."""
     n = p.degree
-    work, work_norm, rotation = _rotate_leading_x(p, norm)
+    work, work_norm, rotation = rotated or _rotate_leading_x(p, norm)
     if n == 3:
         # closed form: x = x' + s y' + t takes column k's polynomial P_k to
         # sum_i d_ik (x' + s y')^i, d_ik = P_k^(i)(t) / i!; the top form
@@ -358,9 +367,7 @@ def _special_tree(p: BivariatePolynomial, norm: float):
         killed = d02 + s * (d11 + s * d20), c03 + s * (c12 + s * (c21 + s * c30))
         if max(map(abs, killed)) > VANISH_TOL * max(work_norm, 1.0):
             return None
-        z2, z3 = sort_roots([r - s for r in others])
-        if len(_simple_roots(others)) != 2:  # a double pair: its split is sqrt(eps) noise
-            z2 = z3 = (others[0] + others[1]) / 2 - s
+        z2, z3 = _root_pair(others, s)
         step = SubstitutionStep("shear_x", AffineSubstitution.shear_x(s, t), {"s": s, "t": t})
         return _undo_substitutions(
             (None, 0, 1), [(0.0, 1.0, 0.0), (0.0, 1.0, -z2)],
@@ -387,7 +394,7 @@ def _special_tree(p: BivariatePolynomial, norm: float):
     a31, a22, a13 = c[3][1], c[2][2], c[1][3]
     if abs(a31) > DEGREE_TRIM_REL * scale:
         try:
-            z1, z2 = univariate_roots([a13, a22, a31]).tolist()
+            z1, z2 = _root_pair(univariate_roots([a13, a22, a31]).tolist())
         except LeadingCoefficientError:
             return None
         top_edge, top_coeff = (0.0, 1.0, -z1), (0.0, a31, -a31 * z2)
@@ -409,8 +416,9 @@ def _build(p: BivariatePolynomial, allow_special: bool) -> RepresentationTree:
     if n < 1 or p.is_zero:
         raise DegenerateInputError("need a nonzero polynomial of degree at least 1")
     norm = p.coeff_norm()
+    rotated = _rotate_leading_x(p, norm)
     if allow_special and n in (3, 4):
-        special = _special_tree(p, norm)
+        special = _special_tree(p, norm, rotated)
         # a large shear can leave a special tree that no longer reproduces p;
         # the plain recursion below stays exact
         if special is not None:
@@ -418,10 +426,8 @@ def _build(p: BivariatePolynomial, allow_special: bool) -> RepresentationTree:
             misfit[: n + 1, : n + 1] -= p.coeffs
             if np.abs(misfit).max() <= REMAINDER_TOL * max(norm, 1.0):
                 return special
-    work, _, rotation = _rotate_leading_x(p, norm)
+    work, _, rotation = rotated
     if rotation:
-        # a cubic or quartic gets here only when its special tree, which
-        # makes this same rotation, failed
         tree = _build(work, allow_special and n > 4)
         return _undo_substitutions(tree.parents, tree.edges[1:], tree.coeffs, rotation,
                                    tree.substitution_steps)

@@ -44,7 +44,6 @@ class SolveOptions:
     linearization: str = "auto"
     newton_steps: int = 2
     rank_tol: float | None = None
-    cluster_tol: float = twopar.DEFAULT_CLUSTER_TOL
     residual_accept: float = 1e-6  # relative to the coefficient scale
     dedup_tol: float = 1e-8
 
@@ -55,7 +54,7 @@ class SolveOptions:
             raise TypeError(f"newton_steps must be an integer, got {self.newton_steps!r}")
         if self.newton_steps < 0:
             raise ValueError("newton_steps must be nonnegative")
-        for name in ("rank_tol", "cluster_tol", "residual_accept", "dedup_tol"):
+        for name in ("rank_tol", "residual_accept", "dedup_tol"):
             value = getattr(self, name)
             if name == "rank_tol" and value is None:
                 continue
@@ -188,8 +187,7 @@ def _solve_once(p, q, opts: SolveOptions, diagnostics: SolveDiagnostics):
         unit.coeffs = np.ldexp(f.coeffs.view(float), -math.frexp(norm)[1]).view(complex)
         unit.degree = f.degree
         pencils.append(linearize_polynomial(unit, opts.linearization))
-    result = twopar.solve_full(*pencils, cluster_tol=opts.cluster_tol, rank_tol=opts.rank_tol,
-                               max_roots=p.degree * q.degree)
+    result = twopar.solve_full(*pencils, rank_tol=opts.rank_tol, max_roots=p.degree * q.degree)
     diagnostics.result = result
     if result.staircase is not None:
         diagnostics.warnings.extend(result.staircase.warnings)

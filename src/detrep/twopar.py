@@ -8,11 +8,13 @@ coupled through the operator determinants
     delta2 = kron(A1, B2) - kron(B1, A2)
 
 into the generalized problems delta1 w = x delta0 w, delta2 w = y delta0 w.
-When delta0 is nonsingular the coupled problems share eigenvectors and
-deliver all n1*n2 eigenvalue pairs; otherwise a staircase-style sequence of
-SVD-based unitary compressions, each turning the triple by one singular
-factor of delta0, peels off the singular structure until a square block
-with nonsingular delta0 remains.  Real pencils stay real up to the eigensolve.
+When delta0 is nonsingular the coupled problems share eigenvectors, so one
+eigensolve of (delta1 + gamma delta2, delta0), for a fixed complex gamma,
+delivers all n1*n2 eigenvalue pairs (x, y) from its eigenvectors;
+otherwise a staircase-style sequence of SVD-based unitary compressions,
+each turning the triple by one singular factor of delta0, peels off the
+singular structure until a square block with nonsingular delta0 remains.
+Real pencils stay real up to the eigensolve.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from .pencils import Pencil
 
 logger = logging.getLogger("detrep.twopar")
 
-DEFAULT_CLUSTER_TOL = 1e-8
+# the fixed, irrational-looking weight of delta2 in the one eigensolve:
+# distinct roots collide in x + GAMMA y only on a line of this slope
+GAMMA = 0.6180339887498949 + 0.4142135623730951j
 # kept/discarded singular values closer than this factor flag a shaky decision
 GAP_WARN_FACTOR = 10.0
 
@@ -170,68 +174,27 @@ def is_delta0_nonsingular(deltas: DeltaTriple, rank_tol: float | None = None) ->
     return bool(sv[-1] > rel * sv[0])
 
 
-def solve_regular(deltas: DeltaTriple,
-                  cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[EigenSolution]:
+def solve_regular(deltas: DeltaTriple) -> list[EigenSolution]:
     """All eigenvalue pairs of a coupled problem whose delta0 is known to be
     square and nonsingular, by `is_delta0_nonsingular` or the staircase; an
     empty block has none.
 
-    x comes from the generalized problem (delta1, delta0).  Eigenvalues are
-    clustered so that coinciding x values stay together; y is recovered per
-    cluster from the pencil projected onto the cluster's eigenspace (for a
-    singleton this collapses to the least-squares quotient of delta2 w
-    against delta0 w).
+    delta0^-1 delta1 and delta0^-1 delta2 commute, so their common
+    eigenvectors w are those of the one generalized problem
+    (delta1 + GAMMA delta2, delta0), whose eigenvalues x + GAMMA y keep
+    apart roots that share a coordinate.  x and y are the least-squares
+    quotients of delta1 w and delta2 w against delta0 w.
     """
     if deltas.delta0.size == 0:
         return []
     m, k = deltas.shape
     if m != k:
         raise ValueError(f"a regular block is square, got {m}x{k}")
-    xs, vecs = eig(deltas.delta1, deltas.delta0)
-
-    order = np.lexsort((xs.imag, xs.real))
-    clusters = []
-    current = [order[0]]
-    for prev, nxt in zip(order[:-1], order[1:]):
-        if abs(xs[nxt] - xs[prev]) <= cluster_tol * max(1.0, abs(xs[nxt])):
-            current.append(nxt)
-        else:
-            clusters.append(current)
-            current = [nxt]
-    clusters.append(current)
-
-    # y of every singleton at once: the quotient of delta2 w against delta0 w
-    single = [cluster[0] for cluster in clusters if len(cluster) == 1]
-    w = vecs[:, single]
-    d0w = (deltas.delta0 @ w).conj()
-    single_y = np.zeros(m, dtype=complex)
-    single_y[single] = (d0w * (deltas.delta2 @ w)).sum(0) / (d0w * d0w.conj()).sum(0)
-    solutions = []
-    for cluster in clusters:
-        size = len(cluster)
-        if size == 1:
-            idx = cluster[0]
-            solutions.append(EigenSolution(complex(xs[idx]), complex(single_y[idx]), vecs[:, idx]))
-            continue
-        # eigenvectors of nearly coincident eigenvalues can come back almost
-        # parallel; the small right singular vectors of delta1 - x delta0
-        # give a trustworthy orthonormal basis of the cluster eigenspace.
-        # The projection must be two-sided (delta0 may map the eigenspace
-        # into an orthogonal subspace), so the left basis spans delta0 W.
-        x_rep = complex(np.mean(xs[cluster]))
-        _, _, vh = _svd(deltas.delta1 - x_rep * deltas.delta0)
-        basis = vh.conj().T[:, m - size :]
-        left = np.linalg.qr(deltas.delta0 @ basis)[0]
-        g0 = left.conj().T @ deltas.delta0 @ basis
-        g2 = left.conj().T @ deltas.delta2 @ basis
-        ys, small_vecs = eig(g2, g0)
-        for i in range(size):
-            w = basis @ small_vecs[:, i]
-            norm = np.linalg.norm(w)
-            if norm > 0:
-                w = w / norm
-            solutions.append(EigenSolution(x_rep, complex(ys[i]), w))
-    return solutions
+    _, vecs = eig(deltas.delta1 + GAMMA * deltas.delta2, deltas.delta0)
+    d0w = (deltas.delta0 @ vecs).conj()
+    norms = (d0w * d0w.conj()).sum(0)
+    xs, ys = ((d0w * (delta @ vecs)).sum(0) / norms for delta in (deltas.delta1, deltas.delta2))
+    return [EigenSolution(x, y, w) for x, y, w in zip(xs.tolist(), ys.tolist(), vecs.T)]
 
 
 def extract_regular_part(
@@ -311,7 +274,6 @@ class TwoParameterResult:
 def solve_full(
     first: Pencil,
     second: Pencil,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
     rank_tol: float | None = None,
     max_roots: int | None = None,
 ) -> TwoParameterResult:
@@ -324,4 +286,4 @@ def solve_full(
     bezout_singular = max_roots is not None and deltas.shape[0] > max_roots
     if bezout_singular or not is_delta0_nonsingular(deltas, rank_tol):
         reduced, log = extract_regular_part(deltas, rank_tol=rank_tol)
-    return TwoParameterResult(solve_regular(reduced, cluster_tol), deltas, reduced, log)
+    return TwoParameterResult(solve_regular(reduced), deltas, reduced, log)

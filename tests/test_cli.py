@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -223,13 +224,14 @@ class TestSolve:
         assert (imag == 0) == (arithmetic == "real")
 
     def test_roots_without_a_correct_digit_are_a_partial_result(self, tmp_path, capsys):
-        """(x - 1)^3, (y - 1)^3 has the one triple root (1, 1); the lin1
-        staircase returns nine candidates near x = 1 with y far from 1, and
-        a residual filter loosened to 1 lets them through.  Their error
-        bounds exceed max(1, |x|, |y|), so the solve warns and exits 2."""
-        p = BivariatePolynomial.from_terms({(3, 0): 1, (2, 0): -3, (1, 0): 3, (0, 0): -1})
+        """(x - 1)^8, (y - 1)^8 has the one root (1, 1), of multiplicity 64;
+        the eigensolve spreads its 64 candidates around it by about
+        eps^(1/8), and a residual filter loosened to 1 lets them through.
+        The Jacobian vanishes there to seventh order, so some error bounds
+        exceed max(1, |x|, |y|), and the solve warns and exits 2."""
+        p = BivariatePolynomial.from_terms({(k, 0): math.comb(8, k) * (-1) ** k for k in range(9)})
         q = BivariatePolynomial(p.coeffs.T)
-        path = tmp_path / "triple.json"
+        path = tmp_path / "multiple.json"
         serialize.dump({"p": serialize.polynomial_to_json(p),
                         "q": serialize.polynomial_to_json(q)}, path)
         out = tmp_path / "roots.json"
@@ -305,6 +307,10 @@ class TestSolve:
         assert run(["solve", write_system(tmp_path, {"swap_variables": True})]) == 1
         assert "unknown solve option(s): swap_variables" in capsys.readouterr().err
 
+    def test_removed_cluster_option_is_unknown(self, tmp_path, capsys):
+        assert run(["solve", write_system(tmp_path, {"cluster_tol": 1e-6})]) == 1
+        assert "unknown solve option(s): cluster_tol" in capsys.readouterr().err
+
     def test_mistyped_file_option_rejected(self, tmp_path, capsys):
         assert run(["solve", write_system(tmp_path, {"newton_steps": "2"})]) == 1
         assert capsys.readouterr().err.startswith("error: invalid solve options:")
@@ -313,7 +319,6 @@ class TestSolve:
         "options",
         [
             {"rank_tol": "1e-8"},
-            {"cluster_tol": -1e-6},
             {"residual_accept": 0},
             {"dedup_tol": True},
             {"newton_steps": 1.5},

@@ -23,6 +23,7 @@ def test_dump_and_compare(tmp_path):
         assert done.returncode == 0, done.stderr
         dumps.append(out)
     data = pickle.loads(dumps[0].read_bytes())
+    assert data["linearization"] == "lin1"  # the workload's own pencil
     assert data["lapack"].startswith("zggev ") and "; numpy LAPACK " in data["lapack"]
     records = data["records"]
     assert len(records) == 3
@@ -49,3 +50,22 @@ def test_dump_and_compare(tmp_path):
     assert "system 1: direct -> direct; roots move by" in moved.stdout
     assert "LAPACK B: zggev elsewhere" in moved.stdout and "note: the two dumps" in moved.stdout
     assert run("compare", *dumps, "--rtol", 1e-6).returncode == 0
+
+
+def test_dump_with_another_pencil_is_refused_against_the_workloads(tmp_path):
+    dumps = {}
+    for method in (None, "lin2"):
+        out = tmp_path / f"{method}.pkl"
+        extra = () if method is None else ("--linearization", method)
+        done = run("dump", "--src", ROOT / "src", "--workload", "quadric-lin1",
+                   "--seed", 0, "--systems", 2, *extra, out)
+        assert done.returncode == 0, done.stderr
+        dumps[method] = out
+    data = pickle.loads(dumps["lin2"].read_bytes())
+    assert data["linearization"] == "lin2"
+    assert all(rec["outcome"] == "ok" for rec in data["records"])
+    refused = run("compare", dumps[None], dumps["lin2"], "--rtol", 1e-6)
+    assert refused.returncode == 1
+    assert refused.stdout.strip() == "different pencils: lin1 against lin2"
+    same = run("compare", dumps["lin2"], dumps["lin2"], "--rtol", 1e-12)
+    assert same.returncode == 0 and "quadric-lin1 seed 0, lin2, 2 systems" in same.stdout

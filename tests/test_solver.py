@@ -64,7 +64,7 @@ import itertools, json, sys
 import workloads
 from detrep import BivariatePolynomial, SolveOptions, solve_system
 from detrep.solver import SolveDiagnostics
-stream = workloads.systems(workloads.WORKLOADS["sparse-auto"], 0)
+stream = workloads.systems(workloads.WORKLOADS["sparse-auto"], int(sys.argv[2]))
 p, q = (BivariatePolynomial(t) for t in next(itertools.islice(stream, int(sys.argv[1]), None)))
 diag = SolveDiagnostics()
 records = solve_system(p, q, SolveOptions(), diag)
@@ -73,13 +73,14 @@ print(json.dumps([diag.candidates, diag.rejected, diag.swapped,
 """
 
 
-def sparse_auto_solve(index):
+def sparse_auto_solve(index, seed=0):
     """[candidates, rejected, swapped, root count, warnings] of sparse-auto
-    seed-0 system `index`.  The outcome can follow the BLAS thread count,
-    so the solve runs in a child process with two OpenBLAS threads."""
+    system `index` of the given seed.  The outcome can follow the BLAS
+    thread count, so the solve runs in a child process with two OpenBLAS
+    threads."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
                PYTHONPATH=os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench")))
-    child = subprocess.run([sys.executable, "-c", SHORTFALL_SOLVE, str(index)], env=env,
+    child = subprocess.run([sys.executable, "-c", SHORTFALL_SOLVE, str(index), str(seed)], env=env,
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     return json.loads(child.stdout)
@@ -295,16 +296,28 @@ class TestSolveSystem:
         assert not lin2_diag.swapped
         match_pairwise(records, [(r.x, r.y) for r in lin2], 1e-8)
 
-    def test_residual_filter_shortfall_is_reported(self):
-        """sparse-auto seed-0 system 84: the regular part has all 64
-        candidates, but two fail the residual filter (the shortfall itself
-        is the staircase's accuracy, ROADMAP item 1); the solve says so.
-        The rejected count follows the BLAS thread count, so the solve runs
-        in a child process with two OpenBLAS threads."""
-        candidates, rejected, swapped, roots, warnings = sparse_auto_solve(84)
-        assert (candidates, rejected, swapped) == (64, 2, False)
-        assert roots == 62
-        assert warnings == ["2 of 64 candidates failed the residual filter"]
+    def test_residual_filter_shortfall_is_reported(self, monkeypatch):
+        """A regular part whose candidates are not all roots: two finite
+        candidates far from every root join the nine of a dense cubic
+        system, and the solve reports that they failed the residual
+        filter.  (The sparse-auto systems that showed a shortfall, such as
+        seed-0 system 84, lost it with the one eigensolve.)"""
+        rng = np.random.default_rng(36)
+        p, q = random_polynomial(rng, 3), random_polynomial(rng, 3)
+        base = solve_system(p, q)
+        solve_full = twopar.solve_full
+
+        def with_strays(*args, **kwargs):
+            result = solve_full(*args, **kwargs)
+            result.solutions[3:3] = [twopar.EigenSolution(3 + 4j, -2j), twopar.EigenSolution(-5.0, 7.0)]
+            return result
+
+        monkeypatch.setattr(twopar, "solve_full", with_strays)
+        diag = SolveDiagnostics()
+        records = solve_system(p, q, diagnostics=diag)
+        assert (diag.candidates, diag.rejected, diag.swapped) == (11, 2, False)
+        assert records == base and sum(r.multiplicity for r in records) == 9
+        assert diag.warnings == ["2 of 11 candidates failed the residual filter"]
 
     def test_double_pair_in_a_cubic_subtree_keeps_every_root(self):
         """sparse-auto seed-0 system 154: a rotated cubic subtree of q has
@@ -314,6 +327,29 @@ class TestSolveSystem:
         mean it finds all 64 roots in the first orientation."""
         candidates, rejected, swapped, roots, warnings = sparse_auto_solve(154)
         assert (candidates, rejected, swapped, roots, warnings) == (64, 0, False, 64, [])
+
+    def test_double_pair_in_a_quartic_subtree_keeps_every_root(self):
+        """sparse-auto seed-1 system 147: a quartic subtree's top factor has
+        a double pair, which the eigensolve splits.  With the split in its
+        size-5 tree the staircase met ambiguous rank decisions and emptied
+        the regular part, so the solve needed the swap; with the pair's
+        mean it finds all 64 roots in the first orientation."""
+        assert sparse_auto_solve(147, seed=1) == [64, 0, False, 64, []]
+
+    @pytest.mark.parametrize("index", [16, 54, 82, 66, 68])
+    def test_roots_that_share_an_x_are_all_found(self, index):
+        """sparse-auto seed-0 systems whose p and q have only even powers of
+        y, or of x: their roots come in pairs that share a coordinate.  The
+        lin1 regular part has all 64 candidates, and each orientation keeps
+        all 64 roots (one x per eigenvalue cluster gave 6 to 36 of them)."""
+        tables = next(itertools.islice(workloads.systems(workloads.WORKLOADS["sparse-auto"], 0),
+                                       index, None))
+        for transpose in (False, True):
+            p, q = (BivariatePolynomial(t.T if transpose else t) for t in tables)
+            diag = SolveDiagnostics()
+            records = solve_system(p, q, SolveOptions(linearization="lin1"), diag)
+            assert (diag.candidates, diag.rejected, diag.swapped, diag.warnings) == (64, 0, False, [])
+            assert sum(r.multiplicity for r in records) == 64
 
     @pytest.mark.parametrize("method", ["auto", "lin1"])
     def test_exact_singular_root_has_infinite_accuracy(self, method):

@@ -162,7 +162,7 @@ class TestSolveRegular:
             assert np.linalg.norm(comm, 2) <= 1e-8 * max(scale, 1.0)
 
     def test_repeated_x_cluster(self):
-        """x^2 = 1, y^2 = x has two roots sharing x = 1; the cluster path
+        """x^2 = 1, y^2 = x has two roots sharing x = 1; the one eigensolve
         must recover both y values."""
         p = np.zeros((3, 3)); p[0, 0] = -1.0; p[2, 0] = 1.0
         q = np.zeros((3, 3)); q[1, 0] = -1.0; q[0, 2] = 1.0
@@ -180,7 +180,7 @@ class TestSolveRegular:
 
     def test_singletons_after_a_cluster(self):
         """Rows x = 0 and x - y - 3 = 0 against y = 1 and y = 2: the double
-        eigenvalue x = 0 sorts first, the singletons (4, 1) and (5, 2) follow."""
+        eigenvalue x = 0 carries two y values, beside (4, 1) and (5, 2)."""
         prob = pencil_pair(
             np.diag([0.0, -3.0]), np.eye(2), np.diag([0.0, -1.0]),
             np.diag([-1.0, -2.0]), np.zeros((2, 2)), np.eye(2),
@@ -436,7 +436,9 @@ def tall_triple(seed):
     """A random k x k triple with e extra rows that combine its rows, mixed
     by a random unitary: delta0 has full column rank k and k + e rows, and
     the regular part is the k x k pencil.  Returns the triple and the
-    eigenvalues x of that pencil."""
+    eigenvalues x of that pencil.  The three random blocks do not commute,
+    so the triple is no two-parameter problem: its x are the generalized
+    eigenvalues of (delta1, delta0) alone, not `solve_regular`'s."""
     rng = np.random.default_rng(seed)
     k, e = 1 + seed % 5, 1 + (seed // 5) % 3
 
@@ -472,7 +474,7 @@ class TestRowsStep:
         assert log.steps[0].shape == triple.shape
         assert log.steps[0].rank == k
         assert reduced.shape == (k, k)
-        xs = [s.x for s in solve_regular(reduced)]
+        xs = _eig(reduced.delta1, reduced.delta0)[0]
         assert max_matched_gap(xs, eigenvalues) <= 1e-10
         for name in ("delta0", "delta1", "delta2"):
             assert np.allclose(
@@ -488,8 +490,31 @@ class TestRowsStep:
         reduced, log = extract_regular_part(transposed)
         assert [step.kind for step in log.steps] == ["columns"]
         assert reduced.shape == (k, k)
-        xs = [s.x for s in solve_regular(reduced)]
+        xs = _eig(reduced.delta1, reduced.delta0)[0]
         assert max_matched_gap(xs, eigenvalues.conj()) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 4), st.booleans(), st.sampled_from(["lin1", "lin2"]),
+       st.integers(0, 2**32 - 1))
+def test_roots_that_share_an_x_keep_their_own_y(n1, n2, complex_coeffs, method, seed):
+    """p and q with only even powers of y have their roots in pairs (x, y),
+    (x, -y) that share x.  Every eigenvector of the regular block, with the
+    x and y read from it, solves both coupled problems to 1e-8 relative."""
+    rng = np.random.default_rng(seed)
+    polys = []
+    for n in (n1, n2):
+        table = random_polynomial(rng, n, complex_coeffs).coeffs
+        table[:, 1::2] = 0
+        polys.append(BivariatePolynomial(table))
+    result = solve_full(*(solver.linearize_polynomial(f, method) for f in polys),
+                        max_roots=n1 * n2)
+    reduced = result.reduced
+    norms = [np.linalg.norm(d, 2) for d in (reduced.delta0, reduced.delta1, reduced.delta2)]
+    for s in result.solutions:
+        for delta, value, norm in ((reduced.delta1, s.x, norms[1]), (reduced.delta2, s.y, norms[2])):
+            residual = np.linalg.norm((delta - value * reduced.delta0) @ s.w)
+            assert residual <= 1e-8 * (norm + abs(value) * norms[0])
 
 
 class TestSolveFull:

@@ -1,15 +1,17 @@
 """Same-answers check between two source trees of detrep.
 
-    python3 tools/compare_records.py dump --src SRC --workload W --seed S --systems K OUT
+    python3 tools/compare_records.py dump --src SRC --workload W --seed S --systems K
+        [--linearization {auto,lin1,lin2}] OUT
     python3 tools/compare_records.py compare A B --rtol R
 
 `dump` imports detrep from SRC (the directory that holds the `detrep`
 package, e.g. the `src` of a checkout), draws the first K systems of
 workload W from `perfbench/workloads.py` with seed S, solves each with the
-workload's linearization, and pickles one record per system to OUT: the
-outcome ("ok" or the exception type), the swap flag, the warnings,
-`rejected`, every root record, the Bezout number, and SHA-256 digests of
-the two pencils of the first orientation (signed zeros folded to +0).
+workload's linearization or the one --linearization names, and pickles the
+linearization and one record per system to OUT: the outcome ("ok" or the
+exception type), the swap flag, the warnings, `rejected`, every root
+record, the Bezout number, and SHA-256 digests of the two pencils of the
+first orientation (signed zeros folded to +0).
 The dump also names the LAPACK that served it: the zggev symbol detrep
 bound, or the scipy wrapper it fell back to, and the LAPACK numpy was built
 with, since a build is a rounding source.  BLAS runs on one thread unless
@@ -18,10 +20,11 @@ OPENBLAS_NUM_THREADS says otherwise, so a dump repeats exactly.
 `compare` sorts the systems of two dumps into identical records, records
 that differ only in root values within relative tolerance R (pencil
 digests and residual, condition and accuracy figures may differ there),
-and changed ones.  It prints each side's LAPACK, noting when they differ,
-each side's outcome table and every changed system, and exits 1 when any
-system changed: another outcome, swap flag, warning, `rejected`, root count
-or multiplicity, or a root beyond R.
+and changed ones.  It refuses two dumps of different inputs or made with
+different linearizations.  It prints each side's LAPACK, noting when they
+differ, each side's outcome table and every changed system, and exits 1
+when any system changed: another outcome, swap flag, warning, `rejected`,
+root count or multiplicity, or a root beyond R.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ def lapack_record() -> str:
     return f"zggev {zggev}; numpy LAPACK {lapack.get('name')} {lapack.get('version')}"
 
 
-def dump(src: str, workload: str, seed: int, systems: int, out: str) -> None:
+def dump(src: str, workload: str, seed: int, systems: int, out: str,
+         linearization: str | None = None) -> None:
     sys.path.insert(0, str(Path(src).resolve()))
     sys.path.insert(0, str(PERFBENCH))
     import workloads
@@ -70,7 +74,8 @@ def dump(src: str, workload: str, seed: int, systems: int, out: str) -> None:
     from detrep.polynomials import BivariatePolynomial
 
     spec = workloads.WORKLOADS[workload]
-    options = solver.SolveOptions(linearization=spec.linearization)
+    method = linearization or spec.linearization
+    options = solver.SolveOptions(linearization=method)
     stream = workloads.systems(spec, seed)
     records = []
     for _ in range(systems):
@@ -81,8 +86,7 @@ def dump(src: str, workload: str, seed: int, systems: int, out: str) -> None:
             outcome = "ok"
         except Exception as exc:  # an exception is an outcome to compare
             roots, outcome = [], type(exc).__name__
-        pencils = [pencil_digest(solver.linearize_polynomial(f, spec.linearization))
-                   for f in (p, q)]
+        pencils = [pencil_digest(solver.linearize_polynomial(f, method)) for f in (p, q)]
         records.append({
             "outcome": outcome,
             "swapped": diagnostics.swapped,
@@ -94,8 +98,8 @@ def dump(src: str, workload: str, seed: int, systems: int, out: str) -> None:
             "pencils": pencils,
         })
     with open(out, "wb") as fh:
-        pickle.dump({"workload": workload, "seed": seed, "lapack": lapack_record(),
-                     "records": records}, fh)
+        pickle.dump({"workload": workload, "seed": seed, "linearization": method,
+                     "lapack": lapack_record(), "records": records}, fh)
 
 
 def outcome_label(rec) -> str:
@@ -145,6 +149,10 @@ def compare(path_a: str, path_b: str, rtol: float) -> int:
         print(f"different inputs: {a['workload']} seed {a['seed']} against "
               f"{b['workload']} seed {b['seed']}")
         return 1
+    methods = [data.get("linearization", "not recorded") for data in (a, b)]
+    if methods[0] != methods[1]:
+        print(f"different pencils: {methods[0]} against {methods[1]}")
+        return 1
     pairs = list(zip(a["records"], b["records"]))
     kinds, changed, worst = Counter(), [], 0.0
     for i, (ra, rb) in enumerate(pairs):
@@ -154,7 +162,7 @@ def compare(path_a: str, path_b: str, rtol: float) -> int:
             worst = max(worst, dist)
         if kind == "changed":
             changed.append((i, reason, outcome_label(ra), outcome_label(rb)))
-    print(f"{a['workload']} seed {a['seed']}, {len(pairs)} systems")
+    print(f"{a['workload']} seed {a['seed']}, {methods[0]}, {len(pairs)} systems")
     lapacks = [data.get("lapack", "not recorded") for data in (a, b)]
     for side, lapack in zip("AB", lapacks):
         print(f"  LAPACK {side}: {lapack}")
@@ -179,6 +187,8 @@ def main(argv=None) -> int:
     d.add_argument("--workload", required=True)
     d.add_argument("--seed", type=int, required=True)
     d.add_argument("--systems", type=int, required=True)
+    d.add_argument("--linearization", choices=("auto", "lin1", "lin2"),
+                   help="the pencil to solve with (default: the workload's)")
     d.add_argument("out")
     c = sub.add_parser("compare", help="compare two dumps of the same inputs")
     c.add_argument("a")
@@ -186,7 +196,7 @@ def main(argv=None) -> int:
     c.add_argument("--rtol", type=float, required=True)
     args = parser.parse_args(argv)
     if args.command == "dump":
-        dump(args.src, args.workload, args.seed, args.systems, args.out)
+        dump(args.src, args.workload, args.seed, args.systems, args.out, args.linearization)
         return 0
     return compare(args.a, args.b, args.rtol)
 
